@@ -19,10 +19,13 @@ test:
 
 # Same package list as the CI race job: once at GOMAXPROCS=1 (interleaving
 # forced through a single P) and once at 4 (real parallelism), matching the
-# two scheduler regimes the DAG dispatcher runs under.
+# two scheduler regimes the DAG dispatcher runs under. The root package's
+# checkpoint writer runs under the race detector too: interval snapshots
+# taken from parallel batches read the memo while other goroutines store.
 race:
 	GOMAXPROCS=1 $(GO) test -race ./internal/sched/... ./internal/tournament/... ./internal/dispatch/... ./internal/trust/...
 	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
+	GOMAXPROCS=4 $(GO) test -race -run 'Checkpoint|Resume|Snapshot' .
 
 # Mirror of .github/workflows/ci.yml: the test job's steps plus the
 # benchmark-smoke job. Green here means green there (modulo Go version).

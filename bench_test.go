@@ -7,6 +7,7 @@ import (
 	"context"
 	"testing"
 
+	"crowdmax"
 	"crowdmax/internal/experiment"
 )
 
@@ -193,5 +194,36 @@ func BenchmarkBracketAccuracy(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckpointSnapshot measures the checkpoint writer alone: one op
+// replays every snapshot of one recorded service-shaped job (a snapshot
+// every 64 paid comparisons plus the phase boundaries) against fresh memos,
+// through a file system that discards what it writes.
+func BenchmarkCheckpointSnapshot(b *testing.B) {
+	for _, c := range []struct {
+		name       string
+		w          crowdmax.Workload
+		n, un, ue  int
+		minEntries int
+	}{
+		// svc-max: about 880 naïve entries, across two chained memo tables.
+		{"svc-max", crowdmax.MaxFind(), 100, 4, 2, 769},
+		{"svc-topk", crowdmax.TopKWorkload(3), 200, 6, 3, 769},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			r := crowdmax.RecordSnapshotReplay(b, c.w, c.n, c.un, c.ue, 2015)
+			if r.Entries < c.minEntries {
+				b.Fatalf("recorded memo has %d entries, want at least %d", r.Entries, c.minEntries)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Run(b)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.Snapshots()), "ns/snapshot")
+			b.ReportMetric(float64(r.Entries), "entries")
+		})
 	}
 }

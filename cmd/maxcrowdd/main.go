@@ -118,7 +118,7 @@ func run() error {
 	}
 	logf("serving on %s (state %s, %d slots)", bound, *dir, *maxConc)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler(), defaultHTTPTimeouts)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
@@ -148,4 +148,37 @@ func run() error {
 	}
 	logf("drained cleanly")
 	return nil
+}
+
+// httpTimeouts bounds how long a connection may hold server resources
+// without making progress.
+type httpTimeouts struct {
+	// ReadHeader bounds reading a request's headers: a client that stalls
+	// mid-header is disconnected instead of pinning a connection forever.
+	ReadHeader time.Duration
+	// Read bounds reading a whole request, body included. It does not
+	// limit the response: an event follower streams for as long as its job
+	// runs.
+	Read time.Duration
+	// Idle bounds how long a keep-alive connection waits for its next
+	// request.
+	Idle time.Duration
+}
+
+// defaultHTTPTimeouts are maxcrowdd's limits. There is no write timeout:
+// GET /v1/jobs/{id}/events?follow=1 streams for as long as the job runs.
+var defaultHTTPTimeouts = httpTimeouts{
+	ReadHeader: 10 * time.Second,
+	Read:       time.Minute,
+	Idle:       2 * time.Minute,
+}
+
+// newHTTPServer builds the HTTP server around the service handler.
+func newHTTPServer(h http.Handler, t httpTimeouts) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: t.ReadHeader,
+		ReadTimeout:       t.Read,
+		IdleTimeout:       t.Idle,
+	}
 }

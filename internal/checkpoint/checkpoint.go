@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"crowdmax/internal/cost"
@@ -172,7 +173,36 @@ func (s *State) SortPairs() {
 
 // Encode renders the state in the versioned, checksummed binary format.
 func Encode(s *State) []byte {
-	var p payload
+	return AppendSnapshot(nil, s, PairAnswers(s.NaiveMemo), PairAnswers(s.ExpertMemo))
+}
+
+// PairTable is a pair-memo table sorted by (A, B), held in whatever form
+// its owner keeps it; AppendSnapshot reads the memo tables through it.
+// AppendSnapshot is generic over the table type so that passing a table
+// boxes nothing.
+type PairTable interface {
+	Len() int
+	At(i int) PairAnswer
+}
+
+// PairAnswers is the PairTable of a plain answer slice.
+type PairAnswers []PairAnswer
+
+// Len returns the number of answers.
+func (t PairAnswers) Len() int { return len(t) }
+
+// At returns the i-th answer.
+func (t PairAnswers) At(i int) PairAnswer { return t[i] }
+
+// AppendSnapshot appends the encoding of s to dst and returns the extended
+// slice, taking the two pair-memo tables from naive and expert rather than
+// from s.NaiveMemo and s.ExpertMemo. It grows dst once to the exact
+// encoded size and writes the envelope header in place, so a writer that
+// reuses dst across snapshots encodes without copying. The bytes equal
+// Encode's for the same content.
+func AppendSnapshot[T PairTable](dst []byte, s *State, naive, expert T) []byte {
+	start := len(dst)
+	p := payload{b: beginEnvelope(slices.Grow(dst, encodedSize(s, naive.Len()+expert.Len())), magic, version)}
 	p.u64(s.Seed)
 	p.i64(int64(s.Un))
 	p.i64(int64(s.Phase2))
@@ -197,19 +227,17 @@ func Encode(s *State) []byte {
 		p.i64(s.BudgetSpent[i])
 	}
 	p.u64(math.Float64bits(s.BudgetCost))
-	for _, table := range [][]PairAnswer{s.NaiveMemo, s.ExpertMemo} {
-		p.i64(int64(len(table)))
-		for _, e := range table {
+	for _, table := range [2]T{naive, expert} {
+		n := table.Len()
+		p.i64(int64(n))
+		for i := 0; i < n; i++ {
+			e := table.At(i)
 			p.i64(e.A)
 			p.i64(e.B)
 			p.i64(e.Winner)
 		}
 	}
-	kind := s.Kind
-	if kind == "" {
-		kind = KindMaxFind
-	}
-	p.str(kind)
+	p.str(kindOf(s))
 	p.i64(int64(len(s.Workload)))
 	p.b = append(p.b, s.Workload...)
 	p.i64(int64(len(s.ValueMemo)))
@@ -218,8 +246,28 @@ func Encode(s *State) []byte {
 		p.i64(e.Rep)
 		p.u64(math.Float64bits(e.Value))
 	}
-	return SealEnvelope(magic, version, p.b)
+	sealFrame(p.b[start:])
+	return p.b
 }
+
+// kindOf is the workload kind Encode writes for s.
+func kindOf(s *State) string {
+	if s.Kind == "" {
+		return KindMaxFind
+	}
+	return s.Kind
+}
+
+// encodedSize is the exact length of the encoding of s with pairs entries
+// across its two pair-memo tables.
+func encodedSize(s *State, pairs int) int {
+	return headerSize + 8*6 + 1 + strSize(s.Phase) + 8*len(s.Survivors) + strSize(s.Rung) + 8 +
+		8*(3*cost.MaxClasses+2) + 8*2 + 24*pairs +
+		strSize(kindOf(s)) + 8 + len(s.Workload) + 8 + 24*len(s.ValueMemo)
+}
+
+// strSize is the encoded size of a length-prefixed string field.
+func strSize(s string) int { return 8 + min(len(s), maxStringLen) }
 
 // Decode parses an encoded state, failing closed (ErrCorrupt, wrapped) on
 // any inconsistency. It never panics on hostile input: every read is
@@ -311,7 +359,13 @@ func Save(path string, s *State) error {
 // snapshot durability is testable under injected disk faults.
 func SaveFS(fsys faults.FS, path string, s *State) error {
 	s.SortPairs()
-	if err := WriteFileAtomicFS(fsys, path, Encode(s), 0o644); err != nil {
+	return SaveEncodedFS(fsys, path, Encode(s))
+}
+
+// SaveEncodedFS atomically writes an already encoded snapshot (Encode or
+// AppendSnapshot output) to path, the way SaveFS does.
+func SaveEncodedFS(fsys faults.FS, path string, data []byte) error {
+	if err := WriteFileAtomicFS(fsys, path, data, 0o644); err != nil {
 		return fmt.Errorf("checkpoint: save %s: %w", path, err)
 	}
 	return nil

@@ -24,16 +24,28 @@ import (
 // SealEnvelope frames payload in the checkpoint container format under the
 // given 4-byte magic and version.
 func SealEnvelope(magic string, version uint32, payload []byte) []byte {
+	out := append(beginEnvelope(make([]byte, 0, headerSize+len(payload)), magic, version), payload...)
+	sealFrame(out)
+	return out
+}
+
+// beginEnvelope appends an envelope header whose checksum and length are
+// left for sealFrame to fill in once the payload has been appended after it.
+func beginEnvelope(dst []byte, magic string, version uint32) []byte {
 	if len(magic) != 4 {
 		panic(fmt.Sprintf("checkpoint: envelope magic %q is not 4 bytes", magic))
 	}
-	out := make([]byte, headerSize+len(payload))
-	copy(out, magic)
-	binary.LittleEndian.PutUint32(out[4:], version)
-	binary.LittleEndian.PutUint32(out[8:], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(out[12:], uint64(len(payload)))
-	copy(out[headerSize:], payload)
-	return out
+	dst = append(dst, magic...)
+	dst = binary.LittleEndian.AppendUint32(dst, version)
+	return append(dst, make([]byte, headerSize-8)...)
+}
+
+// sealFrame fills in the checksum and length of a frame begun by
+// beginEnvelope, in place.
+func sealFrame(frame []byte) {
+	payload := frame[headerSize:]
+	binary.LittleEndian.PutUint32(frame[8:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(frame[12:], uint64(len(payload)))
 }
 
 // OpenEnvelope validates data against the expected magic and version and

@@ -493,7 +493,12 @@ func (s *Server) session(j *Job, set *crowdmax.Set, scope *obs.Scope) (*crowdmax
 // server keeps serving every other tenant.
 func (s *Server) runJob(j *Job, resume bool) {
 	defer s.wg.Done()
-	defer func() { <-s.slots }()
+	// The slot caps concurrent sessions, so it is freed as soon as the
+	// session returns — before the job's terminal state becomes visible,
+	// so a client that sees the job settle can be admitted at once. The
+	// deferred release covers the paths that never reach the run.
+	release := sync.OnceFunc(func() { <-s.slots })
+	defer release()
 
 	scope := s.scope(j)
 	defer func() {
@@ -504,6 +509,7 @@ func (s *Server) runJob(j *Job, resume bool) {
 		if m := obs.Active(); m != nil {
 			m.JobPanic()
 		}
+		release()
 		stack := string(debug.Stack())
 		scope.Event("panic", obs.Fs("value", fmt.Sprint(r)), obs.Fs("stack", stack))
 		s.finishFailed(j, scope, crowdmax.Result{}, fmt.Errorf("panic: %v", r))
@@ -552,6 +558,7 @@ func (s *Server) runJob(j *Job, resume bool) {
 	} else {
 		res, err = sess.Run(ctx, w, set.Items())
 	}
+	release()
 
 	switch {
 	case err == nil:
@@ -615,6 +622,7 @@ func (s *Server) finishDone(j *Job, scope *obs.Scope, res crowdmax.Result) {
 			Guarantee: string(rr.Guarantee),
 		})
 	}
+	s.settle(j, res)
 	j.setResult(StateDone, JobResult{
 		Mode:              j.Spec.Mode,
 		BestID:            res.Best.ID,
@@ -635,10 +643,9 @@ func (s *Server) finishDone(j *Job, scope *obs.Scope, res crowdmax.Result) {
 		obs.Fs("rung", res.Rung), obs.Fs("guarantee", string(res.Guarantee)),
 		obs.Fi("ranks", int64(len(res.Ranked))),
 		obs.Fi("naive", res.NaiveComparisons), obs.Fi("expert", res.ExpertComparisons))
-	// Close the stream before settling and persisting: followers of a
-	// terminal job should not hang on a slow (possibly fault-retried) disk.
+	// Close the stream before persisting: followers of a terminal job
+	// should not hang on a slow (possibly fault-retried) disk.
 	j.events.close()
-	s.settle(j, res)
 	s.persistJob(j)
 }
 
@@ -649,6 +656,7 @@ func (s *Server) finishExpired(j *Job, scope *obs.Scope, res crowdmax.Result) {
 	if m := obs.Active(); m != nil {
 		m.JobExpiry()
 	}
+	s.settle(j, res)
 	j.setResult(StateExpired, JobResult{
 		Mode:              j.Spec.Mode,
 		BestID:            res.Best.ID,
@@ -665,26 +673,27 @@ func (s *Server) finishExpired(j *Job, scope *obs.Scope, res crowdmax.Result) {
 	scope.Event("job", obs.Fs("state", "expired"),
 		obs.Fi("naive", res.NaiveComparisons), obs.Fi("expert", res.ExpertComparisons))
 	j.events.close()
-	s.settle(j, res)
 	s.persistJob(j)
 	s.logf("job %s expired at its deadline (%.3fs)", j.ID, j.Spec.DeadlineSeconds)
 }
 
 // finishFailed settles a failed job.
 func (s *Server) finishFailed(j *Job, scope *obs.Scope, res crowdmax.Result, err error) {
+	s.settle(j, res)
 	j.setState(StateFailed, err.Error())
 	scope.Event("job", obs.Fs("state", "failed"), obs.Fs("error", err.Error()))
 	j.events.close()
-	s.settle(j, res)
 	s.persistJob(j)
 	s.logf("job %s failed: %v", j.ID, err)
 }
 
 // settle refunds the unspent part of the job's reservation (clamped at the
 // actual spend, so a reservation can never be refunded past what was
-// charged) and releases the tenant's job count. Settlement is exactly-once:
-// a panic that unwinds through a finish path which already settled must not
-// refund (or decrement the tenant) a second time.
+// charged) and releases the tenant's job count. The finish paths settle
+// before the terminal state becomes visible, so a client that sees the job
+// settle also sees its tenant's capacity and budget returned. Settlement is
+// exactly-once: a panic that unwinds through a finish path which already
+// settled must not refund (or decrement the tenant) a second time.
 func (s *Server) settle(j *Job, res crowdmax.Result) {
 	if !j.settled.CompareAndSwap(false, true) {
 		return

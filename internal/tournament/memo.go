@@ -2,7 +2,7 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -198,53 +198,181 @@ func (t *memoTable) tryInsert(k, e uint64) bool {
 }
 
 // Len returns the number of cached pairs.
-func (m *Memo) Len() int {
-	n := 0
-	m.scan(func(uint64) { n++ })
-	return n
-}
-
-// scan visits every reachable entry exactly once, newest table first, so a
-// pair duplicated across tables by a store/grow race yields the entry
-// lookup would return.
-func (m *Memo) scan(fn func(e uint64)) {
-	var seen map[uint64]struct{}
-	for t := m.head.Load(); t != nil; t = t.prev {
-		for i := range t.slots {
-			e := t.slots[i].Load()
-			if e == 0 {
-				continue
-			}
-			if t.prev != nil || seen != nil {
-				if seen == nil {
-					seen = make(map[uint64]struct{})
-				}
-				k := e & memoKeyMask
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-			}
-			fn(e)
-		}
-	}
-}
+func (m *Memo) Len() int { return len(NewMemoImage(m).Refresh()) }
 
 // Entries returns every cached (a, b, winner) triple with a ≤ b, sorted by
 // (a, b) — the deterministic serialization order the checkpoint codec
 // requires. Safe for concurrent use (entries are atomic snapshots).
 func (m *Memo) Entries() [][3]int {
-	var out [][3]int
-	m.scan(func(e uint64) {
-		out = append(out, [3]int{int(e >> 33), int(e >> 2 & (memoIDLimit - 1)), entryWinner(e)})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	packed := NewMemoImage(m).Refresh()
+	out := make([][3]int, len(packed))
+	for i, e := range packed {
+		a, b, w := UnpackEntry(e)
+		out[i] = [3]int{a, b, w}
+	}
 	return out
+}
+
+// UnpackEntry decodes one packed entry of a MemoImage into the pair's IDs
+// (a ≤ b) and the winner ID.
+func UnpackEntry(e uint64) (a, b, winner int) {
+	return int(e >> 33), int(e >> 2 & (memoIDLimit - 1)), entryWinner(e)
+}
+
+// MemoImage is a sorted copy of a Memo's entries that a checkpoint writer
+// keeps across snapshots, so each snapshot sorts only the answers published
+// since the previous one instead of the whole memo.
+//
+// Entries are kept packed: because the lo ID occupies the high bits and the
+// hi ID the bits below it, packed entries order numerically exactly as
+// their pairs order by (a, b). Per memo table, the image keeps a bitmap of
+// the slots it has already copied. A refresh copies only unmarked non-empty
+// slots, sorts them and merges them into its run; published slots never
+// change, so the run stays exact. Tables whose published count matches the
+// copy are skipped without scanning.
+//
+// A MemoImage is not safe for concurrent use, but its memo may be stored to
+// concurrently with Refresh: an entry published during a refresh is either
+// copied by it or by the next one.
+type MemoImage struct {
+	m      *Memo
+	tables []imageTable // newest first, like the memo's chain
+	run    []uint64     // every copied entry, one per pair, ascending
+	fresh  []uint64     // scratch: the entries first seen by a refresh
+}
+
+// imageTable tracks which slots of one memo table the image has copied.
+type imageTable struct {
+	t      *memoTable
+	copied []uint64 // bitmap over t.slots
+	n      int64    // number of slots copied
+}
+
+// NewMemoImage returns an empty image of m; the first Refresh copies
+// everything.
+func NewMemoImage(m *Memo) *MemoImage { return &MemoImage{m: m} }
+
+// Memo returns the memo the image mirrors.
+func (im *MemoImage) Memo() *Memo { return im.m }
+
+// Refresh brings the image up to date with the memo and returns every
+// reachable entry, packed and in ascending (a, b) order, one per pair. When
+// a store/grow race left one pair in two tables, the newest table's entry
+// wins — the one lookup returns. The returned slice belongs to the image
+// and is valid until the next Refresh.
+func (im *MemoImage) Refresh() []uint64 {
+	im.adoptTables()
+	f := im.fresh[:0]
+	for i := range im.tables {
+		f = im.tables[i].collect(f)
+	}
+	im.fresh = f
+	if len(f) == 0 {
+		return im.run
+	}
+	slices.Sort(f)
+	im.run = im.merge(im.run, im.dedup(f))
+	return im.run
+}
+
+// adoptTables prepends the tables chained in since the last refresh.
+func (im *MemoImage) adoptTables() {
+	var known *memoTable
+	if len(im.tables) > 0 {
+		known = im.tables[0].t
+	}
+	var added []imageTable
+	for t := im.m.head.Load(); t != nil && t != known; t = t.prev {
+		added = append(added, imageTable{t: t, copied: make([]uint64, (len(t.slots)+63)/64)})
+	}
+	if len(added) > 0 {
+		im.tables = append(added, im.tables...)
+	}
+}
+
+// collect appends the table's entries published since the last collect.
+func (it *imageTable) collect(dst []uint64) []uint64 {
+	// count ≥ published entries ≥ n at every instant, so equality means
+	// nothing new has been published here.
+	if it.t.count.Load() == it.n {
+		return dst
+	}
+	slots := it.t.slots
+	for w, bits := range it.copied {
+		if bits == ^uint64(0) {
+			continue
+		}
+		chunk := slots[w*64 : min(w*64+64, len(slots))]
+		for b := range chunk {
+			if bits>>b&1 != 0 {
+				continue
+			}
+			if e := chunk[b].Load(); e != 0 {
+				bits |= 1 << b
+				dst = append(dst, e)
+				it.n++
+			}
+		}
+		it.copied[w] = bits
+	}
+	return dst
+}
+
+// newer reports whether entry a, rather than entry b of the same pair, is
+// the one lookup returns: the entry of the newest table holding the pair.
+func (im *MemoImage) newer(a, b uint64) bool {
+	for _, it := range im.tables {
+		if e, ok := it.t.get(a & memoKeyMask); ok {
+			return e == a
+		}
+	}
+	return false
+}
+
+// dedup keeps one entry per pair of the sorted fresh entries.
+func (im *MemoImage) dedup(f []uint64) []uint64 {
+	out := f[:1]
+	for _, e := range f[1:] {
+		last := &out[len(out)-1]
+		if e&memoKeyMask != *last&memoKeyMask {
+			out = append(out, e)
+		} else if im.newer(e, *last) {
+			*last = e
+		}
+	}
+	return out
+}
+
+// merge merges the ascending entries of add into the ascending run in
+// place, from the back, and returns the grown run. A pair present in both
+// keeps the newer table's entry.
+func (im *MemoImage) merge(run, add []uint64) []uint64 {
+	i, j := len(run)-1, len(add)-1
+	run = slices.Grow(run, len(add))[:len(run)+len(add)]
+	k := len(run) - 1
+	for ; j >= 0; k-- {
+		switch ri, aj := run[max(i, 0)]&memoKeyMask, add[j]&memoKeyMask; {
+		case i >= 0 && ri > aj:
+			run[k] = run[i]
+			i--
+		case i >= 0 && ri == aj:
+			run[k] = run[i]
+			if im.newer(add[j], run[i]) {
+				run[k] = add[j]
+			}
+			i--
+			j--
+		default:
+			run[k] = add[j]
+			j--
+		}
+	}
+	// Each shared pair left one unused slot between the untouched prefix
+	// run[:i+1] and the merged tail run[k+1:].
+	if k > i {
+		run = run[:i+1+copy(run[i+1:], run[k+1:])]
+	}
+	return run
 }
 
 // Prime pre-loads the answer for one pair — how a resumed session replays a

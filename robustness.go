@@ -235,60 +235,75 @@ func itemsFingerprint(items []Item) uint64 {
 	return h.Sum64()
 }
 
-// checkpointState returns the snapshot builder bound to one run's live
-// state: the ledger and budget are read at snapshot time (atomic /
-// mutex-guarded), and the memo tables are copied stripe by stripe.
-func (s *Session) checkpointState(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, nm, em *Memo, vm *tournament.ValueMemo, hooks *snapHooks) func(phase string, survivors []int64) *checkpoint.State {
-	fp := itemsFingerprint(items)
-	n := len(items)
-	return func(phase string, survivors []int64) *checkpoint.State {
-		st := &checkpoint.State{
+// ckSource renders one run's live state as snapshot bytes. The fingerprint
+// is fixed at run start; the ledger, budget, value memo and workload hooks
+// are read at snapshot time; and each pair-memo class is kept as a
+// tournament.MemoImage, so a snapshot sorts only the answers published
+// since the previous one.
+type ckSource struct {
+	st            checkpoint.State // the fingerprint; per-snapshot fields are overwritten
+	led           *Ledger
+	budget        *Budget
+	naive, expert *tournament.MemoImage
+	vm            *tournament.ValueMemo
+	hooks         *snapHooks
+}
+
+// checkpointSource binds a snapshot source to one run's live state.
+func (s *Session) checkpointSource(kind string, items []Item, seed uint64, led *Ledger, budget *Budget, nm, em *Memo, vm *tournament.ValueMemo, hooks *snapHooks) *ckSource {
+	return &ckSource{
+		st: checkpoint.State{
 			Kind:        kind,
 			Seed:        seed,
 			Un:          s.cfg.Un,
 			Phase2:      int(s.cfg.Phase2),
 			TrackLosses: s.cfg.TrackLosses,
-			NItems:      n,
-			ItemsHash:   fp,
-			Phase:       phase,
-			Survivors:   append([]int64(nil), survivors...),
-		}
-		snap := led.Snapshot()
-		st.Comparisons, st.MemoHits, st.Steps = snap.Comparisons, snap.MemoHits, snap.Steps
-		if budget != nil {
-			for i := 0; i < cost.MaxClasses; i++ {
-				st.BudgetSpent[i] = budget.Spent(Class(i))
-			}
-			st.BudgetCost = budget.SpentCost()
-		}
-		st.NaiveMemo = memoPairs(nm)
-		st.ExpertMemo = memoPairs(em)
-		st.ValueMemo = valueAnswers(vm)
-		if hooks != nil {
-			ctl, blob := hooks.snapshot()
-			if ctl != nil {
-				// The achieved rung and decision-log hash ride in the snapshot
-				// so a resumed run can be audited against the walk that
-				// produced it.
-				st.Rung, st.DecisionHash = ctl.Snapshot()
-			}
-			st.Workload = blob
-		}
-		return st
+			NItems:      len(items),
+			ItemsHash:   itemsFingerprint(items),
+		},
+		led:    led,
+		budget: budget,
+		naive:  tournament.NewMemoImage(nm),
+		expert: tournament.NewMemoImage(em),
+		vm:     vm,
+		hooks:  hooks,
 	}
 }
 
-// memoPairs copies a memo table into the checkpoint's sorted triple form.
-func memoPairs(m *Memo) []checkpoint.PairAnswer {
-	if m == nil {
-		return nil
+// encode appends the snapshot taken now, labelled phase, to dst.
+func (c *ckSource) encode(dst []byte, phase string, survivors []int64) []byte {
+	st := &c.st
+	st.Phase, st.Survivors = phase, survivors
+	snap := c.led.Snapshot()
+	st.Comparisons, st.MemoHits, st.Steps = snap.Comparisons, snap.MemoHits, snap.Steps
+	if c.budget != nil {
+		for i := 0; i < cost.MaxClasses; i++ {
+			st.BudgetSpent[i] = c.budget.Spent(Class(i))
+		}
+		st.BudgetCost = c.budget.SpentCost()
 	}
-	entries := m.Entries()
-	out := make([]checkpoint.PairAnswer, len(entries))
-	for i, e := range entries {
-		out[i] = checkpoint.PairAnswer{A: int64(e[0]), B: int64(e[1]), Winner: int64(e[2])}
+	st.ValueMemo = valueAnswers(c.vm)
+	if c.hooks != nil {
+		ctl, blob := c.hooks.snapshot()
+		if ctl != nil {
+			// The achieved rung and decision-log hash ride in the snapshot
+			// so a resumed run can be audited against the walk that
+			// produced it.
+			st.Rung, st.DecisionHash = ctl.Snapshot()
+		}
+		st.Workload = blob
 	}
-	return out
+	return checkpoint.AppendSnapshot(dst, st, packedPairs(c.naive.Refresh()), packedPairs(c.expert.Refresh()))
+}
+
+// packedPairs is the checkpoint.PairTable view of a MemoImage's entries.
+type packedPairs []uint64
+
+func (t packedPairs) Len() int { return len(t) }
+
+func (t packedPairs) At(i int) checkpoint.PairAnswer {
+	a, b, w := tournament.UnpackEntry(t[i])
+	return checkpoint.PairAnswer{A: int64(a), B: int64(b), Winner: int64(w)}
 }
 
 // ckWriter drives a run's checkpointing: a backend decorator counts paid
@@ -301,21 +316,20 @@ type ckWriter struct {
 	path      string
 	every     int64
 	since     int64
-	phase     string
 	survivors []int64
-	build     func(phase string, survivors []int64) *checkpoint.State
+	src       *ckSource
+	buf       []byte // the last snapshot's bytes, reused by the next
 	fs        faults.FS
 	onSnap    func()
 	err       error
 }
 
-func newCkWriter(cfg CheckpointConfig, build func(string, []int64) *checkpoint.State) *ckWriter {
+func newCkWriter(cfg CheckpointConfig, src *ckSource) *ckWriter {
 	every := int64(cfg.Every)
 	if every <= 0 {
 		every = 500
 	}
-	return &ckWriter{path: cfg.Path, every: every, phase: "start", build: build,
-		fs: cfg.FS, onSnap: cfg.OnSnapshot}
+	return &ckWriter{path: cfg.Path, every: every, src: src, fs: cfg.FS, onSnap: cfg.OnSnapshot}
 }
 
 // wrap decorates a backend so successful answers advance the interval
@@ -352,19 +366,25 @@ func (w *ckWriter) boundary(phase string, survivors []Item) {
 		ids[i] = int64(it.ID)
 	}
 	w.mu.Lock()
-	w.phase = phase
 	w.survivors = ids
 	w.since = 0
 	w.snapshotLocked(phase)
 	w.mu.Unlock()
 }
 
-// snapshotLocked builds and atomically writes one snapshot; callers hold
+// testHookSnapshot, when set, observes every snapshot a writer encodes,
+// just before it is written.
+var testHookSnapshot func(w *ckWriter, label string, data []byte)
+
+// snapshotLocked encodes and atomically writes one snapshot; callers hold
 // w.mu, which also serializes concurrent interval snapshots from parallel
 // batches.
 func (w *ckWriter) snapshotLocked(label string) {
-	st := w.build(label, w.survivors)
-	if err := checkpoint.SaveFS(w.fs, w.path, st); err != nil {
+	w.buf = w.src.encode(w.buf[:0], label, w.survivors)
+	if testHookSnapshot != nil {
+		testHookSnapshot(w, label, w.buf)
+	}
+	if err := checkpoint.SaveEncodedFS(w.fs, w.path, w.buf); err != nil {
 		if w.err == nil {
 			w.err = err
 		}

@@ -337,7 +337,7 @@ func (s *Session) run(ctx context.Context, w Workload, items []Item, resume *che
 		if s.cfg.DisableMemoization {
 			return Result{}, errors.New("crowdmax: Config.Checkpoint requires memoization (resume replays the memo tables)")
 		}
-		ck = newCkWriter(s.cfg.Checkpoint, s.checkpointState(w.Kind(), items, r.Seed(), runLedger, budget, naiveMemo, expertMemo, valueMemo, hooks))
+		ck = newCkWriter(s.cfg.Checkpoint, s.checkpointSource(w.Kind(), items, r.Seed(), runLedger, budget, naiveMemo, expertMemo, valueMemo, hooks))
 		nb, eb = ck.wrap(nb), ck.wrap(eb)
 	}
 
