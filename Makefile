@@ -58,6 +58,7 @@ chaos-smoke:
 	$(GO) run ./cmd/maxcrowd -n 400 -seed 7 -chaos spammer:0.1 >/dev/null
 	$(GO) test -run 'TestAdversarySweepRetentionWithHealth' ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRoundTrip -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz FuzzMemoImage -fuzztime 10s ./internal/tournament
 
 # Graceful-degradation soak: the same steps as the CI soak-smoke job. A run
 # whose expert backend dies mid-phase-2 must complete on the naive-majority

@@ -199,8 +199,9 @@ func BenchmarkBracketAccuracy(b *testing.B) {
 
 // BenchmarkCheckpointSnapshot measures the checkpoint writer alone: one op
 // replays every snapshot of one recorded service-shaped job (a snapshot
-// every 64 paid comparisons plus the phase boundaries) against fresh memos,
-// through a file system that discards what it writes.
+// every 64 paid comparisons plus the phase boundaries) against fresh memos
+// built as Session.Run builds them, through a file system that discards
+// what it writes.
 func BenchmarkCheckpointSnapshot(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -208,7 +209,8 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 		n, un, ue  int
 		minEntries int
 	}{
-		// svc-max: about 880 naïve entries, across two chained memo tables.
+		// svc-max: about 880 naïve entries, in one memo table sized, as a
+		// session sizes it, from the filter's 4·n·un bound.
 		{"svc-max", crowdmax.MaxFind(), 100, 4, 2, 769},
 		{"svc-topk", crowdmax.TopKWorkload(3), 200, 6, 3, 769},
 	} {
@@ -225,5 +227,36 @@ func BenchmarkCheckpointSnapshot(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*r.Snapshots()), "ns/snapshot")
 			b.ReportMetric(float64(r.Entries), "entries")
 		})
+	}
+}
+
+// BenchmarkSessionMaxFind measures one in-process Session.Run(MaxFind) of
+// the crowdbench lib-max shape: n = 2000, un = 10, ue = 5, threshold workers
+// with hash tie-breaking, the degrade ladder on, no checkpointing. The
+// naïve memo work of the filter dominates it.
+func BenchmarkSessionMaxFind(b *testing.B) {
+	const n, un, ue, seed = 2000, 10, 5, 2015
+	cal, err := crowdmax.CalibratedUniform(n, un, ue, crowdmax.NewRand(seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	items := cal.Set.Items()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := crowdmax.NewSession(crowdmax.Config{
+			Naive:   &crowdmax.ThresholdWorker{Delta: cal.DeltaN, Tie: crowdmax.HashTie{Seed: seed}},
+			Expert:  &crowdmax.ThresholdWorker{Delta: cal.DeltaE, Tie: crowdmax.HashTie{Seed: seed + 1}},
+			Un:      un,
+			Prices:  crowdmax.Prices{Naive: 1, Expert: 10},
+			Rand:    crowdmax.NewRand(seed),
+			Degrade: &crowdmax.DegradeConfig{},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(context.Background(), crowdmax.MaxFind(), items); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -139,7 +139,7 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 		}
 		paid++
 		if o.memo != nil {
-			o.memo.store(p[0].ID, p[1].ID, w.ID)
+			w = pick(p, o.memo.store(p[0].ID, p[1].ID, w.ID))
 		}
 		winners[i] = w
 	}
@@ -179,10 +179,10 @@ func (o *Oracle) comparePlatform(bc BatchComparator, pairs [][2]item.Item, hits 
 		o.ledger.ChargeN(o.class, int64(len(s.subIdx)))
 	}
 	for j, i := range s.subIdx {
-		if o.memo != nil {
-			o.memo.store(pairs[i][0].ID, pairs[i][1].ID, res[j].ID)
-		}
 		winners[i] = res[j]
+		if o.memo != nil {
+			winners[i] = pick(pairs[i], o.memo.store(pairs[i][0].ID, pairs[i][1].ID, res[j].ID))
+		}
 	}
 	if o.ledger != nil && len(s.dups) > 0 {
 		o.ledger.MemoHitN(o.class, int64(len(s.dups)))
@@ -245,7 +245,7 @@ func (o *Oracle) compareParallel(ctx context.Context, pairs [][2]item.Item, winn
 		}
 		nPaid.Add(1)
 		if o.memo != nil {
-			o.memo.store(p[0].ID, p[1].ID, w.ID)
+			w = pick(p, o.memo.store(p[0].ID, p[1].ID, w.ID))
 		}
 		winners[i] = w
 		return nil

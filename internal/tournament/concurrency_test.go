@@ -135,3 +135,73 @@ func TestLossTrackerConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// racingComparator answers every pair with its better item, but first
+// freezes the opposite answer in the shared memo — as a concurrent caller of
+// the same pair that published first would.
+type racingComparator struct{ memo *Memo }
+
+func (c racingComparator) Compare(a, b item.Item) item.Item {
+	w, l := a, b
+	if b.Value > a.Value {
+		w, l = b, a
+	}
+	c.memo.Prime(a.ID, b.ID, l.ID)
+	return w
+}
+
+// racingPlatform is racingComparator answering whole platform batches.
+type racingPlatform struct{ racingComparator }
+
+func (c racingPlatform) CompareBatch(pairs [][2]item.Item) []item.Item {
+	out := make([]item.Item, len(pairs))
+	for i, p := range pairs {
+		out[i] = c.Compare(p[0], p[1])
+	}
+	return out
+}
+
+// TestOracleReturnsFrozenAnswer checks that a caller whose store loses to an
+// earlier publication returns the memo's frozen answer, not its own, on
+// every paid path: Compare, and CompareBatch element-wise, in parallel and
+// through a platform batch.
+func TestOracleReturnsFrozenAnswer(t *testing.T) {
+	it := items(0.1, 0.9, 0.5, 0.7)
+	pairs := [][2]item.Item{{it[0], it[1]}, {it[2], it[3]}, {it[1], it[2]}}
+	for _, c := range []struct {
+		name string
+		cmp  func(*Memo) worker.Comparator
+		par  int
+	}{
+		{"sequential", func(m *Memo) worker.Comparator { return racingComparator{m} }, 0},
+		{"parallel", func(m *Memo) worker.Comparator { return racingComparator{m} }, 2},
+		{"platform", func(m *Memo) worker.Comparator { return racingPlatform{racingComparator{m}} }, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			memo := NewMemo()
+			o := NewOracle(c.cmp(memo), worker.Naive, cost.NewLedger(), memo)
+			if c.par > 0 {
+				o.ParallelBatch(c.par)
+			}
+			got, err := o.CompareBatch(context.Background(), pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pairs {
+				w, _ := memo.lookup(p[0].ID, p[1].ID)
+				if got[i].ID != w {
+					t.Errorf("pair (%d,%d): returned %d, memo froze %d", p[0].ID, p[1].ID, got[i].ID, w)
+				}
+			}
+		})
+	}
+	memo := NewMemo()
+	o := NewOracle(racingComparator{memo}, worker.Naive, nil, memo)
+	got, err := o.Compare(context.Background(), it[0], it[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != it[0].ID {
+		t.Fatalf("Compare returned %d, memo froze %d", got.ID, it[0].ID)
+	}
+}

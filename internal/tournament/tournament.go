@@ -223,7 +223,8 @@ func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error)
 		}
 	}
 	if o.memo != nil {
-		o.memo.store(a.ID, b.ID, winner.ID)
+		// A concurrent caller may have frozen the other answer first.
+		winner = pick([2]item.Item{a, b}, o.memo.store(a.ID, b.ID, winner.ID))
 	}
 	return winner, nil
 }

@@ -368,7 +368,7 @@ func (f *recordingFile) Close() error {
 // BenchmarkCheckpointSnapshot in the external test package.
 type SnapshotReplay struct {
 	s     *Session
-	kind  string
+	w     Workload
 	items []Item
 	steps []replayStep
 	// Entries is the naïve memo size at the last snapshot.
@@ -405,7 +405,7 @@ func RecordSnapshotReplay(tb testing.TB, w Workload, n, un, ue int, seed uint64)
 	if _, err := s.Run(context.Background(), w, cal.Set.Items()); err != nil {
 		tb.Fatal(err)
 	}
-	r := &SnapshotReplay{s: s, kind: w.Kind(), items: cal.Set.Items()}
+	r := &SnapshotReplay{s: s, w: w, items: cal.Set.Items()}
 	seen := [2]map[checkpoint.PairAnswer]bool{{}, {}}
 	delta := func(class int, table []checkpoint.PairAnswer) []checkpoint.PairAnswer {
 		var out []checkpoint.PairAnswer
@@ -432,12 +432,12 @@ func RecordSnapshotReplay(tb testing.TB, w Workload, n, un, ue int, seed uint64)
 // Snapshots returns the number of snapshots one replay takes.
 func (r *SnapshotReplay) Snapshots() int { return len(r.steps) }
 
-// Run replays the snapshots against fresh memos through a writer whose
-// file system discards what it writes.
+// Run replays the snapshots against fresh memos, built as Session.Run builds
+// them, through a writer whose file system discards what it writes.
 func (r *SnapshotReplay) Run(tb testing.TB) {
-	nm, em := NewMemo(), NewMemo()
+	nm, em := newRunMemos(r.w, &r.s.cfg, len(r.items), nil)
 	w := newCkWriter(CheckpointConfig{Path: "/ck/run.ck", Every: 1 << 30, FS: discardFS{}},
-		r.s.checkpointSource(r.kind, r.items, 1, NewLedger(), nil, nm, em, nil, &snapHooks{}))
+		r.s.checkpointSource(r.w.Kind(), r.items, 1, NewLedger(), nil, nm, em, nil, &snapHooks{}))
 	for _, st := range r.steps {
 		for _, p := range st.naive {
 			nm.Prime(int(p.A), int(p.B), int(p.Winner))

@@ -36,6 +36,9 @@ type Workload interface {
 	Kind() string
 	// validate rejects session configurations the workload cannot run on.
 	validate(cfg *Config, nItems int) error
+	// naivePairs bounds the distinct naïve pairs one run compares, which
+	// sizes the run's naïve memo up front; 0 keeps the default capacity.
+	naivePairs(cfg *Config, nItems int) int
 	// prepare runs after the engine wires the environment but before the
 	// "start" checkpoint boundary: workloads create controllers, decode
 	// their resume blob, and register snapshot hooks here.
@@ -118,6 +121,8 @@ func MaxFind() Workload { return maxFindWorkload{} }
 func (maxFindWorkload) Kind() string { return MaxFindKind }
 
 func (maxFindWorkload) validate(cfg *Config, nItems int) error { return nil }
+
+func (maxFindWorkload) naivePairs(cfg *Config, nItems int) int { return filterPairs(cfg.Un, nItems) }
 
 func (maxFindWorkload) prepare(env *runEnv) error {
 	if d := env.s.cfg.Degrade; d != nil {
@@ -204,6 +209,10 @@ func (w *topKWorkload) validate(cfg *Config, nItems int) error {
 	}
 	return nil
 }
+
+// naivePairs sizes the shared memo for the first rank's filter; later ranks
+// mostly replay its answers, and the memo chains a table for the rest.
+func (w *topKWorkload) naivePairs(cfg *Config, nItems int) int { return filterPairs(cfg.Un, nItems) }
 
 // topkState is the workload's checkpointable progress: the completed ranks.
 type topkState struct {
@@ -497,6 +506,9 @@ func (w *scoreWorkload) validate(cfg *Config, nItems int) error {
 	}
 	return nil
 }
+
+// naivePairs is 0: the naïve class only answers value queries here.
+func (w *scoreWorkload) naivePairs(cfg *Config, nItems int) int { return 0 }
 
 // encodeBlob fingerprints the score configuration into the checkpoint blob
 // so Resume can reconstruct the workload and refuse a mismatched one.
