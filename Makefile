@@ -7,7 +7,7 @@ RACE_PKGS = ./internal/parallel/... ./internal/tournament/... ./internal/cost/..
 # measured total so genuine regressions fail without flaking on noise.
 COVER_FLOOR = 76.0
 
-.PHONY: build test race bench bench-matrix vet lint ci bench-smoke chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
+.PHONY: build test race bench vet lint ci bench-smoke chaos-smoke soak-smoke server-smoke store-torture loadtest-smoke cover all clean
 
 all: build vet test
 
@@ -18,8 +18,8 @@ test:
 	$(GO) test ./...
 
 # Same package list as the CI race job: once at GOMAXPROCS=1 (interleaving
-# forced through a single P) and once at 4 (real parallelism), matching the
-# two scheduler regimes the DAG dispatcher runs under. The root package's
+# forced through a single P) and once at 4 (real parallelism), the two
+# regimes the comparison scheduler runs under. The root package's
 # checkpoint writer runs under the race detector too: interval snapshots
 # taken from parallel batches read the memo while other goroutines store.
 race:
@@ -35,16 +35,9 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig3Parallel -benchtime=1x ./internal/experiment
 	$(GO) run ./cmd/benchrun -quick -parallel=2 -benchout /tmp/bench-smoke.json fig3
 	$(GO) run ./cmd/benchcheck /tmp/bench-smoke.json
-	$(GO) run ./cmd/benchsched -smoke -out /tmp/bench-sched-smoke.json
-	$(GO) run ./cmd/benchcheck /tmp/bench-sched-smoke.json results/BENCH_sched.json
+	./scripts/rounds-gate.sh
 	$(GO) run ./cmd/benchrun -quick -trust-out /tmp/bench-trust-smoke.json trust >/dev/null
 	$(GO) run ./cmd/benchcheck /tmp/bench-trust-smoke.json results/BENCH_trust.json
-
-# Regenerate the full scheduler matrix checked in under results/ (slow; the
-# committed file was produced by exactly this invocation).
-bench-matrix:
-	$(GO) run ./cmd/benchsched -spin 500ns -runs 15 -out results/BENCH_sched.json
-	$(GO) run ./cmd/benchcheck results/BENCH_sched.json
 
 # Crash-and-resume bit-identical check plus a poisoned-pool run: the same
 # steps as the CI chaos-smoke job.

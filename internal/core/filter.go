@@ -31,12 +31,6 @@ type FilterOptions struct {
 	// accumulating un distinct-opponent losses across iterations are
 	// discarded at the end of each iteration, shrinking later rounds.
 	TrackLosses bool
-	// Scheduler selects the comparison schedule: the zero value plays one
-	// batch per tournament group (the lockstep reference); sched.DAG
-	// drains every group of an iteration — they are data-independent — in
-	// one logical step through the work-frontier dispatcher. Answers, paid
-	// counts, and cost are identical; only the step count changes.
-	Scheduler sched.Kind
 }
 
 // filterState carries one filter run's per-iteration working set. The
@@ -57,8 +51,7 @@ type filterState struct {
 
 // applyGroup folds one group's tournament result into the iteration state:
 // threshold survivors, the group top, loss recording, and the per-group
-// trace event. Shared verbatim by the lockstep and DAG schedules so their
-// survivor computation cannot drift.
+// trace event.
 func (st *filterState) applyGroup(group []item.Item, res tournament.Result) {
 	st.tops = append(st.tops, res.TopByWins())
 	need := len(group) - st.un
@@ -151,10 +144,10 @@ func (st *filterState) groupBounds(start int) (end int, advanceWholesale bool) {
 // If the input is already smaller than 2·un, it is returned unchanged (no
 // comparisons are needed).
 //
-// Under the lockstep schedule each group's tournament is one logical step;
-// under sched.DAG all groups of an iteration — which share no data — are
-// drained in a single step, so an iteration costs one round instead of
-// ⌈n/g⌉ rounds while asking the identical comparison sequence.
+// All groups of an iteration share no data, so the comparison scheduler
+// drains them as one wave: an iteration costs one logical step, not the
+// ⌈n/g⌉ steps of one batch per group, while asking the identical comparison
+// sequence.
 //
 // On cancellation or budget exhaustion Filter returns the survivor set of
 // the last fully completed iteration alongside the error — a usable (if
@@ -189,13 +182,9 @@ func Filter(ctx context.Context, items []item.Item, naive *tournament.Oracle, op
 			obs.Fi("n", int64(len(items))), obs.Fi("un", int64(st.un)))
 	}
 
-	var err error
-	if opt.Scheduler == sched.DAG {
-		err = filterDAG(ctx, naive, st)
-	} else {
-		err = filterLockstep(ctx, naive, st)
-	}
-	if err != nil {
+	if err := filterWaves(ctx, naive, st); err != nil {
+		// Partial result: the survivors of the last completed iteration
+		// (a half-played iteration must not eliminate).
 		return st.li, err
 	}
 	if st.sc != nil {
@@ -208,40 +197,12 @@ func Filter(ctx context.Context, items []item.Item, naive *tournament.Oracle, op
 	return st.li, nil
 }
 
-// filterLockstep is the reference schedule: groups play their tournaments
-// one batch at a time, in partition order.
-func filterLockstep(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
-	opts := tournament.RoundRobinOpts{RecordLosers: st.tracker != nil}
-	for len(st.li) >= 2*st.un {
-		for start := 0; start < len(st.li); start += st.g {
-			end, wholesale := st.groupBounds(start)
-			group := st.li[start:end]
-			if wholesale {
-				st.next = append(st.next, group...)
-				continue
-			}
-			res, err := tournament.RoundRobinWith(ctx, group, naive, opts)
-			if err != nil {
-				// Partial result: the survivors of the last completed
-				// iteration (the current iteration's partial progress is
-				// discarded — a half-played group must not eliminate).
-				return err
-			}
-			st.applyGroup(group, res)
-		}
-		if err := st.finishIteration(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// filterDAG runs the same iterations on the work-frontier dispatcher: every
-// group of an iteration is enqueued as one ready node — the groups are
+// filterWaves runs the filter iterations on the work-frontier dispatcher:
+// every group of an iteration is enqueued as one ready node — the groups are
 // data-independent — and the iteration join, fired by its last group,
 // computes the survivors and enqueues the next iteration's groups. One
 // iteration, one wave, one logical step.
-func filterDAG(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
+func filterWaves(ctx context.Context, naive *tournament.Oracle, st *filterState) error {
 	f := sched.NewFrontier(naive)
 	opts := tournament.RoundRobinOpts{RecordLosers: st.tracker != nil}
 	var enqueue func() error
@@ -256,21 +217,9 @@ func filterDAG(ctx context.Context, naive *tournament.Oracle, st *filterState) e
 		}
 		var groups []pendingGroup
 		pending := 0
-		// The whole iteration's pair count is known now; one exact
-		// reservation instead of a growth chain across the group loop.
-		totalPairs := 0
-		for start := 0; start < len(st.li); start += st.g {
-			end, wholesale := st.groupBounds(start)
-			if !wholesale {
-				n := end - start
-				totalPairs += n * (n - 1) / 2
-			}
-		}
-		f.Reserve(totalPairs)
 		join := func() error {
-			// Fold results in partition order — identical to lockstep,
-			// including the position of a wholesale-advanced tail group —
-			// then start the next iteration.
+			// Fold results in partition order, including the position of a
+			// wholesale-advanced tail group, then start the next iteration.
 			for _, pg := range groups {
 				if pg.wholesale {
 					st.next = append(st.next, pg.group...)
@@ -307,7 +256,7 @@ func filterDAG(ctx context.Context, naive *tournament.Oracle, st *filterState) e
 		}
 		if pending == 0 {
 			// Every group advanced wholesale: close the iteration without
-			// a wave (lockstep reaches the same state without a batch).
+			// a wave.
 			return join()
 		}
 		return nil

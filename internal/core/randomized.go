@@ -23,10 +23,6 @@ type RandomizedOptions struct {
 	C int
 	// R drives the random sampling and partitioning. Required.
 	R *rng.Source
-	// Scheduler selects the comparison schedule; see FilterOptions.Scheduler.
-	// Under sched.DAG the independent group tournaments of one round are
-	// drained in a single logical step.
-	Scheduler sched.Kind
 }
 
 // RandomizedMaxFind is Algorithm 5 (from Ajtai et al. Section 3.2): a
@@ -44,10 +40,9 @@ type RandomizedOptions struct {
 // fewer than s^{0.3} survivors remain they join W, and a final all-play-all
 // tournament over W picks the winner.
 //
-// The groups of one round share no data, so under sched.DAG a round is one
-// logical step instead of one per group; the comparison sequence, answers,
-// and billing are identical to the lockstep reference either way, and in
-// particular the same RNG draws produce the same partitions.
+// The groups of one round share no data, so the comparison scheduler drains
+// a round as one logical step instead of one per group, asking the same
+// comparison sequence as one batch per group would.
 //
 // On cancellation or budget exhaustion the first surviving candidate is
 // returned alongside the error as a best-effort partial answer.
@@ -95,13 +90,7 @@ func RandomizedMaxFind(ctx context.Context, items []item.Item, o *tournament.Ora
 		// group's minimal element.
 		opt.R.Shuffle(len(ni), func(i, j int) { ni[i], ni[j] = ni[j], ni[i] })
 		drop := make(map[int]bool)
-		var err error
-		if opt.Scheduler == sched.DAG {
-			err = randomizedRoundDAG(ctx, o, ni, groupSize, drop)
-		} else {
-			err = randomizedRoundLockstep(ctx, o, ni, groupSize, drop)
-		}
-		if err != nil {
+		if err := randomizedRound(ctx, o, ni, groupSize, drop); err != nil {
 			return ni[0], err
 		}
 		if len(drop) == 0 {
@@ -146,29 +135,10 @@ func RandomizedMaxFind(ctx context.Context, items []item.Item, o *tournament.Ora
 	return final.TopByWins(), nil
 }
 
-// randomizedRoundLockstep plays one round's group tournaments one batch at a
-// time, recording each group's minimal element into drop.
-func randomizedRoundLockstep(ctx context.Context, o *tournament.Oracle, ni []item.Item, groupSize int, drop map[int]bool) error {
-	for start := 0; start < len(ni); start += groupSize {
-		end := min(start+groupSize, len(ni))
-		group := ni[start:end]
-		if len(group) < 2 {
-			continue
-		}
-		res, err := tournament.RoundRobin(ctx, group, o)
-		if err != nil {
-			return err
-		}
-		drop[res.MinByWins().ID] = true
-	}
-	return nil
-}
-
-// randomizedRoundDAG drains all of one round's independent group
-// tournaments in a single frontier wave — one logical step — with each
-// group's minimal element recorded in partition order, exactly like the
-// lockstep pass.
-func randomizedRoundDAG(ctx context.Context, o *tournament.Oracle, ni []item.Item, groupSize int, drop map[int]bool) error {
+// randomizedRound drains all of one round's independent group tournaments
+// in a single frontier wave — one logical step — recording each group's
+// minimal element into drop.
+func randomizedRound(ctx context.Context, o *tournament.Oracle, ni []item.Item, groupSize int, drop map[int]bool) error {
 	f := sched.NewFrontier(o)
 	mins := make([]int, 0, (len(ni)+groupSize-1)/groupSize)
 	for start := 0; start < len(ni); start += groupSize {

@@ -11,8 +11,7 @@ import (
 	"crowdmax/internal/tournament"
 )
 
-// twoMaxState carries one 2-MaxFind run's loop state, shared by both
-// schedules so the sample/eliminate round cannot drift between them.
+// twoMaxState carries one 2-MaxFind run's loop state.
 type twoMaxState struct {
 	k          int
 	sc         *obs.Scope
@@ -66,8 +65,7 @@ func (st *twoMaxState) finishRound(before int, survivors []item.Item) {
 // TwoMaxFind is Algorithm 3 (2-MaxFind, from Ajtai et al. Section 3.1): a
 // deterministic max-finding algorithm that, under the threshold model
 // T(δ, 0), returns an element within 2δ of the maximum using O(s^{3/2})
-// comparisons on s elements. It runs the lockstep reference schedule; see
-// TwoMaxFindWith for the scheduler knob.
+// comparisons on s elements.
 //
 // While more than ⌈√s⌉ candidates remain, an arbitrary set of ⌈√s⌉
 // candidates plays an all-play-all tournament; the element x with the most
@@ -80,22 +78,16 @@ func (st *twoMaxState) finishRound(before int, survivors []item.Item) {
 // guarantees progress — and hence the O(s^{3/2}) bound — even against
 // adversarial tie-breaking, because x's tournament victims stay eliminated.
 //
+// 2-MaxFind is a true dependency chain — the pivot pass needs the sample
+// tournament's winner, and the next round's sample needs the pivot pass's
+// survivors — so unlike Filter there is no round merging: the comparison
+// scheduler dispatches two steps per round, its dependency edges expressing
+// the chain.
+//
 // On cancellation or budget exhaustion the current leader — the most recent
 // round's pivot, i.e. the best element identified so far — is returned
 // alongside the error, so a truncated run still yields a usable answer.
 func TwoMaxFind(ctx context.Context, items []item.Item, o *tournament.Oracle) (item.Item, error) {
-	return TwoMaxFindWith(ctx, items, o, sched.Lockstep)
-}
-
-// TwoMaxFindWith is TwoMaxFind under an explicit comparison schedule.
-//
-// 2-MaxFind is a true dependency chain — the pivot pass needs the sample
-// tournament's winner, and the next round's sample needs the pivot pass's
-// survivors — so unlike Filter there is no round-merging win: the DAG
-// schedule dispatches the same two steps per round (its dependency edges
-// simply express the chain). Both schedules ask the identical comparison
-// sequence and bill identically.
-func TwoMaxFindWith(ctx context.Context, items []item.Item, o *tournament.Oracle, kind sched.Kind) (item.Item, error) {
 	s := len(items)
 	if s == 0 {
 		return item.Item{}, ErrNoItems
@@ -117,15 +109,7 @@ func TwoMaxFindWith(ctx context.Context, items []item.Item, o *tournament.Oracle
 	copy(st.candidates, items)
 	st.leader = st.candidates[0]
 
-	var (
-		final tournament.Result
-		err   error
-	)
-	if kind == sched.DAG {
-		final, err = twoMaxDAG(ctx, o, st)
-	} else {
-		final, err = twoMaxLockstep(ctx, o, st)
-	}
+	final, err := twoMaxWaves(ctx, o, st)
 	if err != nil {
 		return st.leader, err
 	}
@@ -139,31 +123,10 @@ func TwoMaxFindWith(ctx context.Context, items []item.Item, o *tournament.Oracle
 	return final.TopByWins(), nil
 }
 
-// twoMaxLockstep is the reference schedule: each round is two sequential
-// batches (sample tournament, then pivot pass).
-func twoMaxLockstep(ctx context.Context, o *tournament.Oracle, st *twoMaxState) (tournament.Result, error) {
-	for len(st.candidates) > st.k {
-		before := len(st.candidates)
-		sample := st.candidates[:st.k]
-		res, err := tournament.RoundRobinWith(ctx, sample, o, tournament.RoundRobinOpts{RecordLosers: true})
-		if err != nil {
-			return tournament.Result{}, err
-		}
-		x, remaining := st.crownPivot(sample, res)
-		survivors, _, err := tournament.PivotPass(ctx, x, remaining, o)
-		if err != nil {
-			return tournament.Result{}, err
-		}
-		st.finishRound(before, survivors)
-	}
-	return tournament.RoundRobin(ctx, st.candidates, o)
-}
-
-// twoMaxDAG runs the same chain on the work-frontier dispatcher: each
+// twoMaxWaves runs the rounds on the work-frontier dispatcher: each
 // completion hook enqueues the one successor its results unlock, so every
-// wave holds exactly one node and the step count matches lockstep — the
-// chain is the DAG's critical path.
-func twoMaxDAG(ctx context.Context, o *tournament.Oracle, st *twoMaxState) (tournament.Result, error) {
+// wave holds exactly one node — the chain is the DAG's critical path.
+func twoMaxWaves(ctx context.Context, o *tournament.Oracle, st *twoMaxState) (tournament.Result, error) {
 	f := sched.NewFrontier(o)
 	var final tournament.Result
 	var enqueue func()

@@ -115,21 +115,22 @@ func TestStepsExperimentShape(t *testing.T) {
 	for _, c := range fig.Curves {
 		byName[c.Name] = c
 	}
-	// Bracket: exactly ⌈log2 n⌉ steps, the most parallel of the three.
+	// Bracket: exactly ⌈log2 n⌉ steps.
 	if byName["bracket"].Y[0] != 8 || byName["bracket"].Y[1] != 10 {
 		t.Fatalf("bracket steps = %v, want [8 10]", byName["bracket"].Y)
 	}
+	// Alg 1 drains each filter iteration as one wave, so it takes fewer
+	// steps than the bracket's ⌈log2 n⌉, and quadrupling n adds at most
+	// one filter iteration. 2-MaxFind's average round count is
+	// near-constant (a larger pivot sample eliminates more per pass, so it
+	// may even dip) but must stay far below its 2·√n worst case.
 	for i := range fig.Curves[0].X {
-		if byName["bracket"].Y[i] >= byName["Alg 1"].Y[i] {
-			t.Fatal("bracket should take fewer logical steps than Alg 1")
+		if byName["Alg 1"].Y[i] >= byName["bracket"].Y[i] {
+			t.Fatalf("Alg 1 steps %v not below the bracket's %v", byName["Alg 1"].Y, byName["bracket"].Y)
 		}
 	}
-	// Alg 1's filter steps grow with n (more groups per iteration);
-	// 2-MaxFind's average round count is near-constant (a larger pivot
-	// sample eliminates more per pass, so it may even dip) but must stay
-	// far below its 2·√n worst case.
-	if byName["Alg 1"].Y[1] < byName["Alg 1"].Y[0] {
-		t.Fatalf("Alg 1 steps decreased with n: %v", byName["Alg 1"].Y)
+	if byName["Alg 1"].Y[1] > byName["Alg 1"].Y[0]+1 {
+		t.Fatalf("Alg 1 steps grew by more than one from n=256 to 1024: %v", byName["Alg 1"].Y)
 	}
 	for i, n := range []float64{256, 1024} {
 		if byName["2-MaxFind-expert"].Y[i] > 2*math.Sqrt(n)+1 {

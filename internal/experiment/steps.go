@@ -20,10 +20,10 @@ import (
 // worker pool is large.
 //
 // Expected shapes: the single-elimination bracket takes exactly ⌈log2 n⌉
-// steps; Algorithm 1's filter takes one step per group per iteration (the
-// groups of one iteration could be merged into one batch — we count the
-// conservative per-group figure); 2-MaxFind takes two steps per pivot
-// round.
+// steps; Algorithm 1's filter takes one step per iteration, because the
+// comparison scheduler drains all groups of an iteration as one wave, so its
+// step count grows with the number of iterations, not of groups; 2-MaxFind
+// takes two steps per pivot round.
 func StepsExperiment(ctx context.Context, s Sweep) (Figure, error) {
 	s = s.withDefaults()
 	if err := s.validate(); err != nil {

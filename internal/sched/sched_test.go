@@ -23,15 +23,6 @@ func items(ids ...int) []item.Item {
 	return out
 }
 
-func TestKindString(t *testing.T) {
-	if Lockstep.String() != "lockstep" || DAG.String() != "dag" {
-		t.Fatalf("Kind strings: %q, %q", Lockstep, DAG)
-	}
-	if Kind(99).String() != "sched(?)" {
-		t.Fatalf("unknown kind: %q", Kind(99))
-	}
-}
-
 func TestFrontierEmptyRun(t *testing.T) {
 	f := NewFrontier(truthOracle(cost.NewLedger(), tournament.NewMemo()))
 	if err := f.Run(context.Background()); err != nil {
@@ -42,9 +33,9 @@ func TestFrontierEmptyRun(t *testing.T) {
 	}
 }
 
-// TestFrontierMergesIndependentGroups pins the tentpole property: N
+// TestFrontierMergesIndependentGroups pins the scheduler's point: N
 // independent groups enqueued together drain as ONE wave and ONE logical
-// step, where the lockstep reference bills N.
+// step, where one batch per group would bill N.
 func TestFrontierMergesIndependentGroups(t *testing.T) {
 	l := cost.NewLedger()
 	f := NewFrontier(truthOracle(l, tournament.NewMemo()))

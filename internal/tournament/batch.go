@@ -20,9 +20,9 @@ type BatchComparator interface {
 }
 
 // BatchScratch holds the reusable working buffers of CompareBatchInto. The
-// zero value is ready to use; a scratch retained across calls (the DAG
-// scheduler keeps one per frontier) makes the fully-memoized batch path
-// allocation-free. A BatchScratch must not be shared by concurrent calls.
+// zero value is ready to use; a scratch retained across calls (the
+// comparison scheduler keeps one per frontier) makes the fully-memoized batch
+// path allocation-free. A BatchScratch must not be shared by concurrent calls.
 type BatchScratch struct {
 	todo   []int
 	sub    [][2]item.Item
@@ -48,8 +48,8 @@ func (s *BatchScratch) markSeen(k uint64) bool {
 // for free, the remainder is forwarded to the underlying comparator — in
 // one call when it implements BatchComparator, element-wise otherwise —
 // and exactly one logical step is billed when anything is actually sent.
-// It allocates the winners slice and working buffers per call; the
-// scheduler hot path uses CompareBatchInto with retained buffers instead.
+// It allocates the winners slice and working buffers per call;
+// CompareBatchInto takes caller-owned buffers instead.
 func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item.Item, error) {
 	winners := make([]item.Item, len(pairs))
 	var s BatchScratch
@@ -62,13 +62,14 @@ func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item
 // CompareBatchInto is CompareBatch writing into caller-owned storage:
 // winners must have len(pairs) slots, and scratch provides the working
 // buffers, reused across calls. With every pair memoized — the steady state
-// of repeated tournaments — the call performs no allocation at all, which
-// is what lets the DAG scheduler's dispatch overhead stay out of the hot
-// path (asserted by the allocs/op benchmarks).
+// of repeated tournaments — the call performs no allocation at all.
 //
-// A batch submitted to a BatchComparator is pre-charged against the budget
-// all-or-nothing, so a hard cap is never exceeded even by a platform batch;
-// element-wise paths charge pair by pair through the dispatch seam.
+// An element-wise oracle answers the batch in one pass (AnswerInto). A
+// Batched oracle first serves the memoized pairs and then sends the misses
+// as one unit: a batch submitted to a BatchComparator is pre-charged against
+// the budget all-or-nothing, so a hard cap is never exceeded even by a
+// platform batch, while element-wise paths charge pair by pair through the
+// dispatch seam.
 //
 // Duplicate pairs within one batch are asked only once when memoization is
 // enabled (the platform would be asked once and the answer reused), and
@@ -88,6 +89,10 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 			return err
 		}
 	}
+	if !o.Batched() {
+		stepped := false
+		return o.AnswerInto(ctx, pairs, winners, &stepped)
+	}
 	s.todo = s.todo[:0]
 	for i, p := range pairs {
 		if o.memo != nil {
@@ -106,36 +111,56 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 		o.observeBatch(0, hits)
 		return nil
 	}
-	if o.ledger != nil {
-		o.ledger.Step()
-	}
+	o.Step()
 	if bc, ok := o.cmp.(BatchComparator); ok && o.backend == nil {
 		return o.comparePlatform(bc, pairs, hits, winners, s)
 	}
-	if o.batchWorkers > 1 && len(s.todo) > 1 {
-		paid, dupHits, err := o.compareParallel(ctx, pairs, winners, s)
-		o.observeBatch(paid, hits+dupHits)
-		return err
+	paid, dupHits, err := o.compareParallel(ctx, pairs, winners, s)
+	o.observeBatch(paid, hits+dupHits)
+	return err
+}
+
+// Batched reports whether the oracle sends a batch's memo misses as one
+// unit rather than pair by pair: to a platform BatchComparator, for which
+// the batch is one platform call, its admission unit and its logical step,
+// or across the workers of a ParallelBatch oracle. A scheduler must hand
+// such an oracle a whole wave in one CompareBatchInto call.
+func (o *Oracle) Batched() bool {
+	if _, ok := o.cmp.(BatchComparator); ok && o.backend == nil {
+		return true
 	}
-	var paid int64
-	for _, i := range s.todo {
-		p := pairs[i]
-		// A duplicate may have been memoized by an earlier element of
-		// this same batch.
+	return o.batchWorkers > 1
+}
+
+// AnswerInto answers pairs element-wise in one pass, writing winners[i] for
+// pairs[i]: a memoized pair is served free, any other is asked and its
+// answer stored, so a repeat later in pairs is a hit. It bills no logical
+// step of its own: the first paid comparison bills one step when *stepped
+// is false and sets it, so a caller answering one wave in several calls
+// shares one flag across them and the wave costs one step.
+//
+// Memo hits and paid comparisons are aggregated into one ledger add and one
+// observability update per call. On cancellation, budget exhaustion or
+// backend failure the error is returned with winners filled up to the
+// failing pair; the comparisons already performed stay billed and memoized.
+func (o *Oracle) AnswerInto(ctx context.Context, pairs [][2]item.Item, winners []item.Item, stepped *bool) error {
+	var hits, paid int64
+	var err error
+	for i, p := range pairs {
 		if o.memo != nil {
 			if w, ok := o.memo.lookup(p[0].ID, p[1].ID); ok {
-				if o.ledger != nil {
-					o.ledger.MemoHit(o.class)
-				}
-				hits++
 				winners[i] = pick(p, w)
+				hits++
 				continue
 			}
 		}
-		w, err := o.ask(ctx, p[0], p[1])
-		if err != nil {
-			o.observeBatch(paid, hits)
-			return err
+		if !*stepped {
+			*stepped = true
+			o.Step()
+		}
+		var w item.Item
+		if w, err = o.ask(ctx, p[0], p[1]); err != nil {
+			break
 		}
 		paid++
 		if o.memo != nil {
@@ -143,8 +168,11 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 		}
 		winners[i] = w
 	}
+	if o.ledger != nil && hits > 0 {
+		o.ledger.MemoHitN(o.class, hits)
+	}
 	o.observeBatch(paid, hits)
-	return nil
+	return err
 }
 
 // comparePlatform answers the batch's todo remainder through a
@@ -213,7 +241,7 @@ func (o *Oracle) observeBatch(paid, hits int64) {
 // oracle's batch pool (see ParallelBatch) and returns the paid-comparison
 // and duplicate-hit counts for the caller's observability aggregation.
 // Duplicate pairs are separated first when memoization is enabled — exactly
-// like the sequential path, which serves them as memo hits — so billing and
+// like the element-wise path, which serves them as memo hits — so billing and
 // answers are identical to a sequential run whenever the comparator is
 // order-independent. Each worker writes only its own winners slot; ledger,
 // memo and budget are concurrency-safe. Every pair goes through the same

@@ -1,7 +1,8 @@
 // Package tournament provides the comparison-tournament machinery shared by
 // the paper's algorithms: billed (and optionally memoized) comparison
-// oracles, all-play-all (round-robin) tournaments, pivot elimination passes,
-// and the cross-iteration loss counters of Appendix A.
+// oracles, all-play-all (round-robin) tournaments, the pair sequences and
+// scoring of pivot elimination passes, and the cross-iteration loss counters
+// of Appendix A.
 //
 // Memoization implements the first Appendix A optimization — "avoid
 // repeating the comparison of two elements multiple times by the same type
@@ -439,7 +440,8 @@ func (r Result) MinByWins() item.Item {
 	return r.Items[best]
 }
 
-// RoundRobinOpts configures RoundRobinWith.
+// RoundRobinOpts configures the scoring of an all-play-all tournament
+// (ScoreRoundRobin).
 type RoundRobinOpts struct {
 	// RecordLosers fills Result.Losers with each participant's defeaters.
 	// Recording costs one slice and up to n−1 appends per participant, so
@@ -449,11 +451,9 @@ type RoundRobinOpts struct {
 }
 
 // AppendAllPairs appends every unordered pair of items to buf in the
-// canonical (i, j), i < j order — the exact pair sequence RoundRobinWith
-// submits — and returns the extended buffer. Shared with the DAG scheduler
-// (internal/sched) so both schedulers ask identical comparison sequences.
-// The buffer is grown to its exact final size up front: a wave-sized buffer
-// must not be built through a doubling chain of large zeroed reallocations.
+// canonical (i, j), i < j order — the pair sequence of an all-play-all
+// tournament, shared by RoundRobin and the comparison scheduler
+// (internal/sched) — and returns the extended buffer.
 func AppendAllPairs(buf [][2]item.Item, items []item.Item) [][2]item.Item {
 	n := len(items)
 	buf = slices.Grow(buf, n*(n-1)/2)
@@ -467,8 +467,7 @@ func AppendAllPairs(buf [][2]item.Item, items []item.Item) [][2]item.Item {
 
 // ScoreRoundRobin builds a tournament Result from the winners of the pair
 // sequence produced by AppendAllPairs(nil, items). winners must be parallel
-// to that sequence. Shared by RoundRobinWith and the DAG scheduler so the
-// two schedulers demultiplex identically.
+// to that sequence.
 func ScoreRoundRobin(items []item.Item, winners []item.Item, opts RoundRobinOpts) Result {
 	n := len(items)
 	r := Result{
@@ -501,15 +500,10 @@ func ScoreRoundRobin(items []item.Item, winners []item.Item, opts RoundRobinOpts
 // RoundRobin plays an all-play-all tournament among items using the oracle:
 // every unordered pair is compared exactly once. The whole tournament is
 // submitted as one batch of independent comparisons — a single logical step
-// in the Section 3 execution model. Result.Losers is not recorded; use
-// RoundRobinWith to opt in. On cancellation or budget exhaustion the error
-// is returned and the Result is unusable.
+// in the Section 3 execution model. Result.Losers is not recorded. On
+// cancellation or budget exhaustion the error is returned and the Result is
+// unusable.
 func RoundRobin(ctx context.Context, items []item.Item, o *Oracle) (Result, error) {
-	return RoundRobinWith(ctx, items, o, RoundRobinOpts{})
-}
-
-// RoundRobinWith is RoundRobin with options.
-func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts RoundRobinOpts) (Result, error) {
 	n := len(items)
 	if m := obs.Active(); m != nil {
 		m.ObserveGroup(n)
@@ -519,13 +513,12 @@ func RoundRobinWith(ctx context.Context, items []item.Item, o *Oracle, opts Roun
 	if err != nil {
 		return Result{}, err
 	}
-	return ScoreRoundRobin(items, winners, opts), nil
+	return ScoreRoundRobin(items, winners, RoundRobinOpts{}), nil
 }
 
 // AppendPivotPairs appends the (pivot, candidate) pairs of a pivot
 // elimination pass to buf — every candidate except the pivot itself, in
-// candidate order — and returns the extended buffer. Shared with the DAG
-// scheduler; see AppendAllPairs.
+// candidate order — and returns the extended buffer.
 func AppendPivotPairs(buf [][2]item.Item, x item.Item, candidates []item.Item) [][2]item.Item {
 	buf = slices.Grow(buf, len(candidates))
 	for _, c := range candidates {
@@ -536,10 +529,11 @@ func AppendPivotPairs(buf [][2]item.Item, x item.Item, candidates []item.Item) [
 	return buf
 }
 
-// ScorePivot splits candidates into survivors and eliminated IDs from the
-// winners of the pair sequence produced by AppendPivotPairs(nil, x,
-// candidates). The pivot itself always survives. Shared by PivotPass and
-// the DAG scheduler.
+// ScorePivot splits candidates into survivors — the elements that did NOT
+// lose to x — and eliminated IDs, from the winners of the pair sequence
+// produced by AppendPivotPairs(nil, x, candidates). This is step 4 of
+// 2-MaxFind: "Compare x against all candidate elements and eliminate all
+// elements that lose to x." The pivot itself always survives.
 func ScorePivot(x item.Item, candidates []item.Item, winners []item.Item) (survivors []item.Item, eliminated []int) {
 	survivors = make([]item.Item, 0, len(candidates))
 	p := 0
@@ -556,26 +550,6 @@ func ScorePivot(x item.Item, candidates []item.Item, winners []item.Item) (survi
 		p++
 	}
 	return survivors, eliminated
-}
-
-// PivotPass compares pivot x against every element of candidates (skipping x
-// itself) in one logical step and returns the survivors — the elements that
-// did NOT lose to x — and the IDs of the eliminated elements. This is
-// step 4 of 2-MaxFind: "Compare x against all candidate elements and
-// eliminate all elements that lose to x." The pivot itself always survives.
-// On cancellation or budget exhaustion the error is returned with nil
-// survivors.
-func PivotPass(ctx context.Context, x item.Item, candidates []item.Item, o *Oracle) (survivors []item.Item, eliminated []int, err error) {
-	if len(candidates) == 0 {
-		return nil, nil, nil
-	}
-	pairs := AppendPivotPairs(make([][2]item.Item, 0, len(candidates)), x, candidates)
-	winners, err := o.CompareBatch(ctx, pairs)
-	if err != nil {
-		return nil, nil, err
-	}
-	survivors, eliminated = ScorePivot(x, candidates, winners)
-	return survivors, eliminated, nil
 }
 
 // lossShards is the number of independently locked stripes of a

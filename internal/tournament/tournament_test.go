@@ -170,49 +170,6 @@ func TestOracleWithoutLedger(t *testing.T) {
 	}
 }
 
-func TestPivotPass(t *testing.T) {
-	its := items(5, 1, 9, 3, 7)
-	x := its[2] // value 9 beats everyone
-	l := cost.NewLedger()
-	surv, elim := mustPivot(t, x, its, truthOracle(l, nil))
-	if len(surv) != 1 || surv[0].ID != 2 {
-		t.Fatalf("survivors = %v", surv)
-	}
-	if len(elim) != 4 {
-		t.Fatalf("eliminated = %v", elim)
-	}
-	if l.Naive() != 4 { // pivot not compared against itself
-		t.Fatalf("comparisons = %d, want 4", l.Naive())
-	}
-	if l.Steps() != 1 {
-		t.Fatalf("steps = %d, want 1", l.Steps())
-	}
-}
-
-func TestPivotPassKeepsWinners(t *testing.T) {
-	its := items(5, 1, 9, 3, 7)
-	x := its[0] // value 5: beats 1 and 3, loses to 9 and 7
-	surv, elim := mustPivot(t, x, its, truthOracle(cost.NewLedger(), nil))
-	if len(surv) != 3 {
-		t.Fatalf("survivors = %v", surv)
-	}
-	if len(elim) != 2 {
-		t.Fatalf("eliminated = %v", elim)
-	}
-	for _, s := range surv {
-		if s.Value < 5 {
-			t.Fatalf("element %v should have been eliminated", s)
-		}
-	}
-}
-
-func TestPivotPassEmpty(t *testing.T) {
-	surv, elim := mustPivot(t, item.Item{ID: 0}, nil, truthOracle(cost.NewLedger(), nil))
-	if surv != nil || elim != nil {
-		t.Fatal("empty pass should be a no-op")
-	}
-}
-
 func TestLossTrackerDistinctOpponents(t *testing.T) {
 	tr := NewLossTracker()
 	tr.Record(1, 2)
@@ -295,9 +252,9 @@ func TestOracleStepBillsLedger(t *testing.T) {
 	}
 }
 
-// mustRR, mustRRWith and mustPivot run the tournament primitives under a
-// background context and fail the test on error, keeping the happy-path
-// assertions uncluttered.
+// mustRR and mustRRWith run the tournament primitives under a background
+// context and fail the test on error, keeping the happy-path assertions
+// uncluttered.
 func mustRR(t *testing.T, its []item.Item, o *Oracle) Result {
 	t.Helper()
 	res, err := RoundRobin(context.Background(), its, o)
@@ -309,20 +266,11 @@ func mustRR(t *testing.T, its []item.Item, o *Oracle) Result {
 
 func mustRRWith(t *testing.T, its []item.Item, o *Oracle, opts RoundRobinOpts) Result {
 	t.Helper()
-	res, err := RoundRobinWith(context.Background(), its, o, opts)
+	winners, err := o.CompareBatch(context.Background(), AppendAllPairs(nil, its))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
-}
-
-func mustPivot(t *testing.T, x item.Item, its []item.Item, o *Oracle) ([]item.Item, []int) {
-	t.Helper()
-	surv, elim, err := PivotPass(context.Background(), x, its, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return surv, elim
+	return ScoreRoundRobin(its, winners, opts)
 }
 
 // mustCompare asks the oracle under a background context, failing the test

@@ -181,7 +181,7 @@ func (AdversarialTie) Pick(a, b item.Item) item.Item {
 
 // FirstLosesTie makes the element presented first lose every
 // under-threshold comparison. Algorithms present the pivot first in
-// elimination passes (tournament.PivotPass compares x against each
+// elimination passes (tournament.AppendPivotPairs pairs x with each
 // candidate), so this is exactly the worst case of Section 5: "in all the
 // comparisons of step 4 of Algorithm 3, whenever the difference is below
 // the threshold, we make element x lose, such as to maximize the number of

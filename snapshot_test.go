@@ -150,7 +150,11 @@ func TestSnapshotBytesMatchReference(t *testing.T) {
 // snapshotDigests runs each golden workload with checkpointing into a
 // recording file system — plus a crash and a resume of the max-find run —
 // and returns, per run, the count and FNV-1a hash of every snapshot written.
-func snapshotDigests(t *testing.T) map[string][2]uint64 {
+// With scheduleFree set, each snapshot is hashed as decoded with its Steps
+// and MemoHits zeroed: the two ledger readings that depend on how a wave's
+// comparisons are grouped into logical steps and when its memo hits are
+// billed, not on what was asked or answered.
+func snapshotDigests(t *testing.T, scheduleFree bool) map[string][2]uint64 {
 	cal, err := dataset.UniformCalibrated(200, 6, 2, NewRand(33))
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +165,14 @@ func snapshotDigests(t *testing.T) map[string][2]uint64 {
 	digest := func(name string, fsys *recordingFS) {
 		h := fnv.New64a()
 		for _, data := range fsys.written() {
+			if scheduleFree {
+				st, err := checkpoint.Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Steps, st.MemoHits = 0, [len(st.MemoHits)]int64{}
+				data = checkpoint.Encode(st)
+			}
 			h.Write(data)
 		}
 		out[name] = [2]uint64{uint64(len(fsys.written())), h.Sum64()}
@@ -205,17 +217,39 @@ func snapshotDigests(t *testing.T) map[string][2]uint64 {
 	return out
 }
 
-// TestSnapshotBytesGolden pins every snapshot of the golden runs to the
-// bytes the sort-everything writer produced before memo images (digests
-// recorded with that writer).
+// TestSnapshotBytesGolden pins every snapshot of the golden runs byte for
+// byte. The digests were recorded when the comparison scheduler became the
+// only schedule: one logical step per wave changed every snapshot's Steps,
+// and one-pass wave answering changed the MemoHits of interval snapshots
+// taken mid-wave. TestSnapshotScheduleIndependentGolden pins that nothing
+// else changed.
 func TestSnapshotBytesGolden(t *testing.T) {
 	want := map[string][2]uint64{
-		"max-find":     {46, 0xb75264e2a92a9080},
-		"top-k":        {50, 0x71da9a56a8092fea},
+		"max-find":     {46, 0x6ca22b771c33819c},
+		"top-k":        {50, 0x7c8da0bd0d3a5c7b},
 		"score":        {18, 0xc06f0235ac40a38d},
-		"crash+resume": {47, 0x0cedb45c02940efe},
+		"crash+resume": {47, 0x797ddcd428589080},
 	}
-	for name, got := range snapshotDigests(t) {
+	for name, got := range snapshotDigests(t, false) {
+		if got != want[name] {
+			t.Errorf("%s: %d snapshots with digest %#x, want %d with %#x", name, got[0], got[1], want[name][0], want[name][1])
+		}
+	}
+}
+
+// TestSnapshotScheduleIndependentGolden pins the golden runs' snapshots with
+// Steps and MemoHits zeroed: phase labels, survivors, paid counts, budget
+// spend, memo tables and workload state. The digests were recorded at
+// commit 891691f under the per-group schedule, and that commit's frontier
+// schedule produced the same ones.
+func TestSnapshotScheduleIndependentGolden(t *testing.T) {
+	want := map[string][2]uint64{
+		"max-find":     {46, 0xf76095c9b6f29f59},
+		"top-k":        {50, 0xf07ffbe62d5850f6},
+		"score":        {18, 0xb2122184f0eb67d6},
+		"crash+resume": {47, 0x3a67224b73419ca8},
+	}
+	for name, got := range snapshotDigests(t, true) {
 		if got != want[name] {
 			t.Errorf("%s: %d snapshots with digest %#x, want %d with %#x", name, got[0], got[1], want[name][0], want[name][1])
 		}
