@@ -36,7 +36,6 @@ var (
 	seed     = flag.Uint64("seed", 1, "random seed")
 	estimat  = flag.Bool("estimate", false, "estimate un from a training split (Algorithm 4) instead of using the true value")
 	topk     = flag.Int("topk", 0, "with -algo alg1: return the top-k elements instead of just the max")
-	par      = flag.Int("parallel", 0, "evaluate comparison batches with this many goroutines (0 = off); switches tie-breaking to an order-independent hash, so results differ from -parallel=0 but are identical for every width >= 1")
 	obsAddr  = flag.String("obs-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060")
 	traceOut = flag.String("trace-out", "", "write the structured JSONL event trace to this file")
 	budget   = flag.Float64("budget", 0, "hard cap on monetary spend (cn=1, ce from -ce); 0 = unlimited. A run that hits the cap stops with the best-so-far answer")
@@ -134,12 +133,6 @@ func run(ctx context.Context) error {
 
 	naive := crowdmax.NewThresholdWorker(deltaN, 0, r.Child("naive"))
 	expert := crowdmax.NewThresholdWorker(deltaE, 0, r.Child("expert"))
-	if *par >= 1 {
-		// Concurrent batches need order-independent workers: replace the
-		// stream-driven random tie-breaking with a pure hash of each pair.
-		naive = &crowdmax.ThresholdWorker{Delta: deltaN, Tie: crowdmax.HashTie{Seed: *seed}}
-		expert = &crowdmax.ThresholdWorker{Delta: deltaE, Tie: crowdmax.HashTie{Seed: *seed + 1}}
-	}
 	prices := crowdmax.Prices{Naive: 1, Expert: *ce}
 
 	unEst := *un
@@ -170,9 +163,6 @@ func run(ctx context.Context) error {
 		if *algo != "alg1" || *topk > 1 {
 			return fmt.Errorf("-mode topk/score and -checkpoint/-resume/-chaos support -algo alg1 without -topk only")
 		}
-		if *par >= 1 {
-			return fmt.Errorf("session runs (-mode topk/score, -checkpoint/-resume/-chaos) are sequential; drop -parallel")
-		}
 		return runSession(ctx, w, set, deltaN, deltaE, unEst, prices)
 	}
 
@@ -186,10 +176,6 @@ func run(ctx context.Context) error {
 		})
 		no.WithBudget(b)
 		eo.WithBudget(b)
-	}
-	if *par >= 1 {
-		no.ParallelBatch(*par)
-		eo.ParallelBatch(*par)
 	}
 	if sc := obs.Trial(fmt.Sprintf("maxcrowd/%s/%s", *algo, *data), *seed); sc != nil {
 		no.WithObs(sc)
@@ -285,10 +271,9 @@ func buildWorkload() (crowdmax.Workload, error) {
 
 // runSession executes the chosen workload through a crowdmax.Session — the
 // entry point that supports checkpointing, resume, and chaos injection.
-// Workers use order-independent hash tie-breaking (as with -parallel) so a
-// resumed run replays to bit-identical results; all robustness notices go to
-// stderr, keeping stdout diffable between an uninterrupted run and a
-// crash + resume.
+// Workers use order-independent hash tie-breaking so a resumed run replays
+// to bit-identical results; all robustness notices go to stderr, keeping
+// stdout diffable between an uninterrupted run and a crash + resume.
 func runSession(ctx context.Context, w crowdmax.Workload, set *crowdmax.Set, deltaN, deltaE float64, unEst int, prices crowdmax.Prices) error {
 	cfg := crowdmax.Config{
 		Naive:  &crowdmax.ThresholdWorker{Delta: deltaN, Tie: crowdmax.HashTie{Seed: *seed}},

@@ -298,11 +298,4 @@ func TestRunRobustFlagsRejectOtherModes(t *testing.T) {
 	if _, err := captureRun(t); err == nil {
 		t.Fatal("-checkpoint accepted with a baseline algorithm")
 	}
-	setFlags(t, 100, "alg1", "uniform", 5, 2, false)
-	oldPar := *par
-	*par = 2
-	t.Cleanup(func() { *par = oldPar })
-	if _, err := captureRun(t); err == nil {
-		t.Fatal("-checkpoint accepted together with -parallel")
-	}
 }

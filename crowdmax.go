@@ -117,9 +117,9 @@ func NewProbabilisticWorker(p float64, r *Rand) *ThresholdWorker {
 
 // HashTie breaks under-threshold ties by a deterministic hash of the pair —
 // a pure function of its Seed and the two item IDs, independent of
-// evaluation order. A ThresholdWorker with ε = 0 and a HashTie is safe for
-// concurrent use, which makes it the tie-breaker to pair with
-// Oracle.ParallelBatch.
+// evaluation order. A ThresholdWorker with ε = 0 and a HashTie answers a
+// pair the same way on every ask, which is what lets a resumed session run
+// replay bit-identically.
 type HashTie = worker.HashTie
 
 // LogisticWorker is the Thurstone / Bradley–Terry psychometric comparator:
@@ -177,19 +177,19 @@ const (
 type FindMaxResult = core.FindMaxResult
 
 // Oracle answers comparison requests through a worker, billing a ledger and
-// optionally memoizing answers (Appendix A optimization).
+// optionally memoizing answers (Appendix A optimization). An Oracle and its
+// Memo belong to one run and are not safe for concurrent use.
 type Oracle = tournament.Oracle
 
-// Memo caches comparison answers per worker class.
+// Memo caches comparison answers per worker class: the n × n table of
+// Appendix A, kept as a hash table of the pairs asked so far.
 type Memo = tournament.Memo
 
 // NewMemo returns an empty memo table.
 func NewMemo() *Memo { return tournament.NewMemo() }
 
 // NewOracle binds a comparator of the given class to a ledger; memo may be
-// nil to disable memoization. Call Oracle.ParallelBatch to evaluate batch
-// comparisons concurrently when the comparator is concurrency-safe and
-// order-independent (e.g. a ThresholdWorker with ε = 0 and a HashTie).
+// nil to disable memoization.
 func NewOracle(cmp Comparator, class Class, ledger *Ledger, memo *Memo) *Oracle {
 	return tournament.NewOracle(cmp, class, ledger, memo)
 }

@@ -49,9 +49,8 @@ const MaxClasses = 8
 // submitted to the platform). The zero value is an empty ledger.
 //
 // Ledger is safe for concurrent use: every counter is a fixed atomic, so a
-// ledger shared by the goroutines of a parallel batch evaluation (or by
-// concurrent algorithm phases) needs no external locking. Charging is a
-// single atomic add — cheaper than the map update it replaces even in
+// ledger shared by several goroutines needs no external locking. Charging
+// is a single atomic add — cheaper than the map update it replaces even in
 // sequential runs, which matters because it sits on the hot path of every
 // comparison. Readers see momentarily inconsistent cross-counter snapshots
 // while writers are active; quiesce (e.g. join the pool) before reporting.

@@ -87,8 +87,10 @@ type Answer struct {
 
 // Backend answers comparison requests. Implementations may block (a real
 // platform round-trip), fail (transient outages, hard errors), and must
-// honor ctx cancellation promptly. A Backend must be safe for concurrent
-// use when driven by a parallel oracle (see tournament.Oracle.ParallelBatch).
+// honor ctx cancellation promptly. An oracle asks its backend one request
+// at a time, from its run's goroutine; a backend that several runs share,
+// or that a Hedge wraps (a hedge asks its inner backend from two goroutines
+// at once), must be safe for concurrent use.
 type Backend interface {
 	Answer(ctx context.Context, req Request) (Answer, error)
 }

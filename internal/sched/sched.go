@@ -25,9 +25,9 @@
 // and monetary cost are identical to it, including the truncation point
 // under budget exhaustion or cancellation; only the step count falls to one
 // per wave. internal/core's golden tests pin these sequences. A Batched
-// oracle (the platform simulator, a ParallelBatch oracle) receives each wave
-// as a single batch; with a hard budget attached, the platform's
-// all-or-nothing admission unit is one wave.
+// oracle (one over the platform simulator) receives each wave as a single
+// batch; with a hard budget attached, the platform's all-or-nothing
+// admission unit is one wave.
 //
 // # Allocation
 //

@@ -2,10 +2,8 @@ package tournament
 
 import (
 	"context"
-	"sync/atomic"
 
 	"crowdmax/internal/item"
-	"crowdmax/internal/parallel"
 )
 
 // BatchComparator is implemented by comparison sources that can answer a
@@ -66,10 +64,9 @@ func (o *Oracle) CompareBatch(ctx context.Context, pairs [][2]item.Item) ([]item
 //
 // An element-wise oracle answers the batch in one pass (AnswerInto). A
 // Batched oracle first serves the memoized pairs and then sends the misses
-// as one unit: a batch submitted to a BatchComparator is pre-charged against
-// the budget all-or-nothing, so a hard cap is never exceeded even by a
-// platform batch, while element-wise paths charge pair by pair through the
-// dispatch seam.
+// to the platform as one unit, pre-charged against the budget
+// all-or-nothing, so a hard cap is never exceeded even by a platform batch,
+// while element-wise paths charge pair by pair through the dispatch seam.
 //
 // Duplicate pairs within one batch are asked only once when memoization is
 // enabled (the platform would be asked once and the answer reused), and
@@ -89,7 +86,8 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 			return err
 		}
 	}
-	if !o.Batched() {
+	bc, ok := o.platform()
+	if !ok {
 		stepped := false
 		return o.AnswerInto(ctx, pairs, winners, &stepped)
 	}
@@ -112,24 +110,28 @@ func (o *Oracle) CompareBatchInto(ctx context.Context, pairs [][2]item.Item, win
 		return nil
 	}
 	o.Step()
-	if bc, ok := o.cmp.(BatchComparator); ok && o.backend == nil {
-		return o.comparePlatform(bc, pairs, hits, winners, s)
-	}
-	paid, dupHits, err := o.compareParallel(ctx, pairs, winners, s)
-	o.observeBatch(paid, hits+dupHits)
-	return err
+	return o.comparePlatform(bc, pairs, hits, winners, s)
 }
 
-// Batched reports whether the oracle sends a batch's memo misses as one
-// unit rather than pair by pair: to a platform BatchComparator, for which
-// the batch is one platform call, its admission unit and its logical step,
-// or across the workers of a ParallelBatch oracle. A scheduler must hand
-// such an oracle a whole wave in one CompareBatchInto call.
+// Batched reports whether the oracle sends a batch's memo misses to a
+// platform BatchComparator as one unit rather than pair by pair: for the
+// platform the batch is one call, its admission unit and its logical step.
+// A scheduler must hand such an oracle a whole wave in one CompareBatchInto
+// call.
 func (o *Oracle) Batched() bool {
-	if _, ok := o.cmp.(BatchComparator); ok && o.backend == nil {
-		return true
+	_, ok := o.platform()
+	return ok
+}
+
+// platform returns the oracle's comparator as a BatchComparator when it
+// answers batches itself: it implements the interface and no backend
+// replaces it.
+func (o *Oracle) platform() (BatchComparator, bool) {
+	if o.backend != nil {
+		return nil, false
 	}
-	return o.batchWorkers > 1
+	bc, ok := o.cmp.(BatchComparator)
+	return bc, ok
 }
 
 // AnswerInto answers pairs element-wise in one pass, writing winners[i] for
@@ -147,12 +149,15 @@ func (o *Oracle) AnswerInto(ctx context.Context, pairs [][2]item.Item, winners [
 	var hits, paid int64
 	var err error
 	for i, p := range pairs {
+		var at memoSlot
 		if o.memo != nil {
-			if w, ok := o.memo.lookup(p[0].ID, p[1].ID); ok {
+			w, ok, miss := o.memo.find(p[0].ID, p[1].ID)
+			if ok {
 				winners[i] = pick(p, w)
 				hits++
 				continue
 			}
+			at = miss
 		}
 		if !*stepped {
 			*stepped = true
@@ -164,7 +169,7 @@ func (o *Oracle) AnswerInto(ctx context.Context, pairs [][2]item.Item, winners [
 		}
 		paid++
 		if o.memo != nil {
-			w = pick(p, o.memo.store(p[0].ID, p[1].ID, w.ID))
+			w = pick(p, o.memo.fill(at, w.ID))
 		}
 		winners[i] = w
 	}
@@ -235,60 +240,6 @@ func (o *Oracle) observeBatch(paid, hits int64) {
 	if o.memo != nil {
 		o.obs.Memo(int(o.class), hits, paid)
 	}
-}
-
-// compareParallel answers the todo indices of pairs concurrently on the
-// oracle's batch pool (see ParallelBatch) and returns the paid-comparison
-// and duplicate-hit counts for the caller's observability aggregation.
-// Duplicate pairs are separated first when memoization is enabled — exactly
-// like the element-wise path, which serves them as memo hits — so billing and
-// answers are identical to a sequential run whenever the comparator is
-// order-independent. Each worker writes only its own winners slot; ledger,
-// memo and budget are concurrency-safe. Every pair goes through the same
-// dispatch seam as Compare (ctx check, budget pre-charge, backend), so a
-// cancelled or exhausted run stops promptly; parallel.For reports the error
-// of the lowest failing index.
-func (o *Oracle) compareParallel(ctx context.Context, pairs [][2]item.Item, winners []item.Item, s *BatchScratch) (paid, dupHits int64, err error) {
-	sub := s.todo
-	s.dups = s.dups[:0]
-	if o.memo != nil {
-		s.subIdx = s.subIdx[:0]
-		clear(s.seen)
-		for _, i := range s.todo {
-			if s.markSeen(packKey(pairs[i][0].ID, pairs[i][1].ID)) {
-				s.dups = append(s.dups, i)
-				continue
-			}
-			s.subIdx = append(s.subIdx, i)
-		}
-		sub = s.subIdx
-	}
-	var nPaid atomic.Int64
-	err = parallel.For(o.batchWorkers, len(sub), func(j int) error {
-		i := sub[j]
-		p := pairs[i]
-		w, askErr := o.ask(ctx, p[0], p[1])
-		if askErr != nil {
-			return askErr
-		}
-		nPaid.Add(1)
-		if o.memo != nil {
-			w = pick(p, o.memo.store(p[0].ID, p[1].ID, w.ID))
-		}
-		winners[i] = w
-		return nil
-	})
-	if err != nil {
-		return nPaid.Load(), 0, err
-	}
-	if o.ledger != nil && len(s.dups) > 0 {
-		o.ledger.MemoHitN(o.class, int64(len(s.dups)))
-	}
-	for _, i := range s.dups {
-		w, _ := o.memo.lookup(pairs[i][0].ID, pairs[i][1].ID)
-		winners[i] = pick(pairs[i], w)
-	}
-	return nPaid.Load(), int64(len(s.dups)), nil
 }
 
 func pick(p [2]item.Item, winnerID int) item.Item {

@@ -2,138 +2,37 @@ package tournament
 
 import (
 	"slices"
-	"sort"
-	"sync"
 	"testing"
 )
 
-// referenceEntries is the from-scratch extraction MemoImage replaces: visit
-// every table's slots newest first, keep the first entry seen per key (the
-// one lookup returns), then sort by (a, b). Kept here as the oracle the
-// incremental image is checked against.
-func referenceEntries(m *Memo) []uint64 { return visibleEntries(m, nil) }
-
-// visibleEntries is referenceEntries over the entries a refresh can reach:
-// hidden reports the slot entries it cannot reach yet, because their log
-// entry, or an earlier one of the same table, is still unwritten.
-func visibleEntries(m *Memo, hidden func(t *memoTable, e uint64) bool) []uint64 {
-	seen := make(map[uint64]struct{})
+// referenceEntries is the from-scratch extraction MemoImage replaces: every
+// occupied slot of the memo's table, sorted by (a, b). Kept here as the
+// oracle the incremental image is checked against.
+func referenceEntries(m *Memo) []uint64 {
 	var out []uint64
-	for t := m.head.Load(); t != nil; t = t.prev {
-		for i := range t.slots {
-			e := t.slots[i].Load()
-			if e == 0 || hidden != nil && hidden(t, e) {
-				continue
-			}
-			k := e & memoKeyMask
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
+	for _, e := range m.slots {
+		if e != 0 {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a>>33 != b>>33 {
-			return a>>33 < b>>33
+	slices.SortFunc(out, func(x, y uint64) int {
+		xa, xb, _ := UnpackEntry(x)
+		ya, yb, _ := UnpackEntry(y)
+		if xa != ya {
+			return xa - ya
 		}
-		return a>>2&(memoIDLimit-1) < b>>2&(memoIDLimit-1)
+		return xb - yb
 	})
 	return out
 }
 
 func checkImage(t *testing.T, im *MemoImage, step string) {
 	t.Helper()
-	checkVisible(t, im, nil, step)
-}
-
-func checkVisible(t *testing.T, im *MemoImage, hidden func(*memoTable, uint64) bool, step string) {
-	t.Helper()
-	got, want := im.Refresh(), visibleEntries(im.Memo(), hidden)
+	got, want := im.Refresh(), referenceEntries(im.Memo())
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: Refresh returned %d entries, reference %d (first difference at %d)",
 			step, len(got), len(want), firstDiff(got, want))
 	}
-}
-
-// chainDepth reports how many tables m's chain holds: 1 as long as the memo
-// never outgrew the capacity it was created with.
-func chainDepth(m *Memo) int {
-	n := 0
-	for t := m.head.Load(); t != nil; t = t.prev {
-		n++
-	}
-	return n
-}
-
-// claimSlot is tryInsert's slot publication without the log write that
-// follows it: it leaves the store paused between its CAS and its log entry.
-// It reports false when the key is already present or the table is full.
-func claimSlot(t *memoTable, k, e uint64) bool {
-	h := memoHash(k)
-	for i := uint64(0); i <= t.mask; i++ {
-		s := &t.slots[(h+i)&t.mask]
-		if cur := s.Load(); cur != 0 {
-			if cur&memoKeyMask == k {
-				return false
-			}
-			continue
-		}
-		if t.count.Add(1) > t.limit {
-			t.count.Add(-1)
-			return false
-		}
-		return s.CompareAndSwap(0, e)
-	}
-	return false
-}
-
-// pausedPublisher is a store stopped after its winning CAS: its entry is in
-// the table (lookup serves it) but not yet in the table's log. With reserved
-// set it already took its log index, so every later entry of the table sits
-// behind the unwritten index.
-type pausedPublisher struct {
-	t        *memoTable
-	e        uint64
-	reserved bool
-	idx      int64
-	before   map[uint64]bool // the table's entries when the index was taken
-}
-
-func pausePublisher(t *memoTable, k uint64, reserve bool) *pausedPublisher {
-	p := &pausedPublisher{t: t, e: k | memoLiveBit}
-	if !claimSlot(t, k, p.e) {
-		return nil
-	}
-	if reserve {
-		p.reserved, p.idx = true, t.log.reserve()
-		p.before = make(map[uint64]bool)
-		for i := range t.slots {
-			if e := t.slots[i].Load(); e != 0 && e != p.e {
-				p.before[e] = true
-			}
-		}
-	}
-	return p
-}
-
-// hides reports whether a refresh cannot see entry e of table t yet: the
-// paused entry itself, and — once its index is reserved — every entry the
-// table published after it.
-func (p *pausedPublisher) hides(t *memoTable, e uint64) bool {
-	if p == nil || t != p.t {
-		return false
-	}
-	return e == p.e || p.reserved && !p.before[e]
-}
-
-// finish writes the paused entry's log entry.
-func (p *pausedPublisher) finish() {
-	if !p.reserved {
-		p.idx = p.t.log.reserve()
-	}
-	p.t.log.write(p.idx, p.e)
 }
 
 func firstDiff(a, b []uint64) int {
@@ -146,14 +45,14 @@ func firstDiff(a, b []uint64) int {
 }
 
 // TestMemoImageIncremental refreshes one image between batches of stores
-// that carry the memo past its first chain point (768 entries in the
-// default 1024-slot table) and checks every refresh against a from-scratch
-// extraction.
+// that carry the memo through several rehashes (the first at 768 entries
+// in the default 1024-slot table) and checks every refresh against a
+// from-scratch extraction.
 func TestMemoImageIncremental(t *testing.T) {
 	m := NewMemo()
 	im := NewMemoImage(m)
 	checkImage(t, im, "empty")
-	const n = 90 // 4005 pairs: two chained tables
+	const n = 90 // 4005 pairs: three rehashes
 	stored := 0
 	for a := n - 1; a >= 0; a-- {
 		for b := a + 1; b < n; b++ {
@@ -168,8 +67,8 @@ func TestMemoImageIncremental(t *testing.T) {
 		}
 	}
 	checkImage(t, im, "final")
-	if chainDepth(m) < 2 {
-		t.Fatalf("memo never chained a second table (%d entries)", m.Len())
+	if len(m.slots) == memoMinSlots {
+		t.Fatalf("memo never rehashed (%d entries)", m.Len())
 	}
 	if m.Len() != n*(n-1)/2 {
 		t.Fatalf("Len = %d, want %d", m.Len(), n*(n-1)/2)
@@ -177,157 +76,43 @@ func TestMemoImageIncremental(t *testing.T) {
 	checkImage(t, im, "idle refresh")
 }
 
-// TestMemoImageCrossTableDuplicate forces the store/grow race's outcome —
-// one pair published in two tables with opposite answers — and checks that
-// the image, Entries and Len all keep only the newest table's entry, the
-// answer lookup serves.
-func TestMemoImageCrossTableDuplicate(t *testing.T) {
-	for _, olderFirst := range []bool{true, false} {
-		m := NewMemo()
-		im := NewMemoImage(m)
-		for i := 0; i < 800; i++ { // past the chain point
-			m.store(i, i+1000, i)
-		}
-		old := m.head.Load().prev
-		if old == nil {
-			t.Fatal("memo did not chain")
-		}
-		k := packKey(5, 1005)
-		inOld, _ := old.get(k)
-		if olderFirst {
-			im.Refresh()
-		}
-		// The late store lands in the newest table with the other answer.
-		if _, ok := m.head.Load().tryInsert(k, inOld^memoWinnerBit); !ok {
-			t.Fatal("tryInsert failed")
-		}
-		checkImage(t, im, "after duplicate")
-		if w, _ := m.lookup(5, 1005); w != 1005 {
-			t.Fatalf("lookup = %d, want the newest table's 1005", w)
-		}
-		for _, e := range m.Entries() {
-			if e[0] == 5 && e[1] == 1005 && e[2] != 1005 {
-				t.Fatalf("Entries kept the older answer %v", e)
-			}
-		}
-		if m.Len() != 800 {
-			t.Fatalf("Len = %d, want 800", m.Len())
-		}
+// TestMemoImageAcrossRehash refreshes an image just before a rehash and
+// after it, with a log chunk boundary in between, and checks both refreshes
+// against a from-scratch extraction: a rehash moves every slot but neither
+// the log nor the image's place in it.
+func TestMemoImageAcrossRehash(t *testing.T) {
+	m := NewMemo()
+	im := NewMemoImage(m)
+	limit := m.limit
+	for i := 0; i < limit; i++ {
+		m.store(i, i+5000, i+5000*(i%2))
+	}
+	checkImage(t, im, "full table")
+	slots, extra := len(m.slots), 300
+	for i := limit; i < limit+extra; i++ {
+		m.store(i, i+5000, i)
+	}
+	if len(m.slots) != 2*slots {
+		t.Fatalf("table has %d slots after passing its limit, want %d", len(m.slots), 2*slots)
+	}
+	checkImage(t, im, "after rehash")
+	if got := len(im.Refresh()); got != limit+extra {
+		t.Fatalf("image holds %d entries, want %d", got, limit+extra)
 	}
 }
 
-// TestMemoImageConcurrentStores refreshes while many goroutines store, into
-// an unsized memo that chains tables mid-run and into a sized one that keeps
-// a single table: every refresh must be strictly ascending and contain the
-// previous one, and the last must equal the reference. Under -race this also
-// checks that the image reads slots and logs only through atomics.
-func TestMemoImageConcurrentStores(t *testing.T) {
-	const workers, keys = 4, 3000
-	for _, c := range []struct {
-		name string
-		m    *Memo
-	}{{"unsized", NewMemo()}, {"sized", NewMemoSized(keys)}} {
-		t.Run(c.name, func(t *testing.T) {
-			m := c.m
-			im := NewMemoImage(m)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for k := w; k < keys; k += workers {
-						m.store(k, k+keys, k+keys*(k%2))
-					}
-				}(w)
-			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			var prev []uint64
-			for finished := false; !finished; {
-				select {
-				case <-done:
-					finished = true
-				default:
-				}
-				got := im.Refresh()
-				for i := 1; i < len(got); i++ {
-					if got[i-1]&memoKeyMask >= got[i]&memoKeyMask {
-						t.Fatalf("refresh not strictly ascending at %d", i)
-					}
-				}
-				for _, e := range prev {
-					if _, ok := slices.BinarySearch(got, e); !ok {
-						t.Fatalf("refresh dropped entry %#x", e)
-					}
-				}
-				prev = append(prev[:0], got...)
-			}
-			checkImage(t, im, "final")
-			if len(prev) != keys {
-				t.Fatalf("final refresh has %d entries, want %d", len(prev), keys)
-			}
-			if c.name == "sized" && chainDepth(m) != 1 {
-				t.Fatalf("sized memo chained %d tables", chainDepth(m))
-			}
-		})
-	}
-}
-
-// TestMemoImagePausedPublisher stops a store between its winning CAS and its
-// log write — before and after it took its log index — while other stores
-// continue. A refresh must not see the paused entry (nor, once its index is
-// taken, anything published behind it), and the refresh after the write must
-// contain every entry exactly once.
-func TestMemoImagePausedPublisher(t *testing.T) {
-	for _, reserve := range []bool{false, true} {
-		m := NewMemoSized(600) // three log chunks' worth
-		im := NewMemoImage(m)
-		for i := 0; i < 250; i++ {
-			m.store(i, i+1000, i)
-		}
-		checkImage(t, im, "before pause")
-		p := pausePublisher(m.head.Load(), packKey(7, 7000), reserve)
-		if p == nil {
-			t.Fatal("pause: slot not claimed")
-		}
-		if w, ok := m.lookup(7, 7000); !ok || w != 7 {
-			t.Fatalf("paused entry not served by lookup: %d, %v", w, ok)
-		}
-		for i := 250; i < 500; i++ { // across a log chunk boundary
-			m.store(i, i+1000, i+1000)
-			if i%50 == 0 {
-				checkVisible(t, im, p.hides, "paused")
-			}
-		}
-		got := im.Refresh()
-		if _, ok := slices.BinarySearch(got, p.e); ok {
-			t.Fatalf("reserve=%v: refresh copied an unwritten entry", reserve)
-		}
-		if want := map[bool]int{false: 500, true: 250}[reserve]; len(got) != want {
-			t.Fatalf("reserve=%v: paused refresh has %d entries, want %d", reserve, len(got), want)
-		}
-		p.finish()
-		checkImage(t, im, "after write")
-		if got := im.Refresh(); len(got) != 501 {
-			t.Fatalf("reserve=%v: final refresh has %d entries, want 501", reserve, len(got))
-		}
-		if m.Len() != 501 || chainDepth(m) != 1 {
-			t.Fatalf("Len = %d over %d tables, want 501 over 1", m.Len(), chainDepth(m))
-		}
-	}
-}
-
-// FuzzMemoImage interleaves stores, table growth, forced cross-table
-// duplicates, paused publishers and refreshes of one long-lived image, and
-// checks each refresh against a from-scratch extraction of the entries whose
-// log entries are written. The first byte picks the memo: an unsized chain
-// whose tables start at 16 slots, so short inputs reach deep chains, or a
-// NewMemoSized memo, whose one large table spans several log chunks.
+// FuzzMemoImage interleaves stores, paid answers filled into the slot their
+// lookup stopped at (with or without a store in between), forced rehashes
+// and refreshes of one long-lived image, and checks each refresh against a
+// from-scratch extraction and every pair against its first answer. The
+// first byte picks the memo: a tiny table of 1 to 4 slots, so short inputs
+// rehash many times, or a NewMemoSized memo, whose table spans several log
+// chunks.
 func FuzzMemoImage(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 0, 5, 9, 3, 1, 0, 7, 7, 2, 1, 3})
-	f.Add([]byte{0, 0, 1, 2, 0, 3, 4, 0, 5, 6, 0, 7, 8, 0, 9, 10, 0, 11, 12, 0, 13, 14, 3, 2, 0, 3, 1, 3})
-	f.Add([]byte{0, 0, 1, 2, 4, 3, 4, 1, 0, 5, 6, 3, 1, 0, 7, 8, 3, 5, 3, 0, 9, 9, 3})
-	f.Add([]byte{1, 40, 0, 1, 2, 4, 3, 4, 0, 0, 5, 6, 0, 7, 8, 3, 5, 3, 0, 9, 10, 3})
+	f.Add([]byte{0, 0, 1, 2, 0, 3, 4, 0, 5, 6, 0, 7, 8, 0, 9, 10, 0, 11, 12, 0, 13, 14, 1, 2, 0, 3, 1, 1})
+	f.Add([]byte{2, 3, 1, 2, 1, 4, 3, 4, 1, 0, 5, 6, 3, 1, 0, 7, 8, 1, 5, 3, 0, 9, 9, 1})
+	f.Add([]byte{1, 40, 0, 1, 2, 3, 3, 4, 0, 0, 5, 6, 0, 7, 8, 1, 5, 3, 2, 0, 9, 10, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), 4096)]
 		next := func() int {
@@ -339,57 +124,54 @@ func FuzzMemoImage(f *testing.F) {
 			return b
 		}
 		var m *Memo
-		if next()%2 == 0 {
-			m = &Memo{}
-			m.head.Store(newMemoTable(16, nil))
+		if sel := next(); sel%2 == 0 {
+			m = newMemo(1 << (sel / 2 % 3))
 		} else {
 			m = NewMemoSized(next() * 16)
 		}
 		im := NewMemoImage(m)
-		var keys []uint64
-		var paused *pausedPublisher
-		for step := 0; len(ops) > 0; step++ {
-			switch next() % 6 {
+		first := make(map[uint64]int) // pair key → the first winner stored
+		remember := func(a, b, w int) {
+			if _, ok := first[packKey(a, b)]; !ok {
+				first[packKey(a, b)] = w
+			}
+		}
+		for len(ops) > 0 {
+			switch next() % 4 {
 			case 0: // store
 				a, b := next()%64, next()%64
 				m.store(a, b, b)
-				keys = append(keys, packKey(a, b))
-			case 1: // chain a new table in front, as a grower would
-				if head := m.head.Load(); chainDepth(m) < 6 {
-					m.head.Store(newMemoTable(len(head.slots)*2, head))
+				remember(a, b, b)
+			case 1:
+				checkImage(t, im, "refresh")
+			case 2: // rehash from wherever the table is, tiny or not
+				if len(m.slots) < 1<<12 {
+					m.rehash()
 				}
-			case 2: // publish an existing pair again in another table
-				if len(keys) == 0 {
-					continue
-				}
-				k := keys[next()%len(keys)]
-				t := m.head.Load()
-				for hops := next() % 6; hops > 0 && t.prev != nil; hops-- {
-					t = t.prev
-				}
-				if _, ok := t.get(k); !ok && t.count.Load() < t.limit-1 {
-					t.tryInsert(k, k|memoLiveBit|uint64(next()%2)<<1)
-				}
-			case 3:
-				checkVisible(t, im, paused.hides, "refresh")
-			case 4: // pause a publisher of a fresh pair after its CAS
-				if paused == nil {
-					a, b := next()%64, 64+next()%64
-					if _, ok := m.lookup(a, b); !ok {
-						paused = pausePublisher(m.head.Load(), packKey(a, b), next()%2 == 1)
+			case 3: // the oracle's miss path: find, pay, maybe store, fill
+				a, b := next()%64, 64+next()%64
+				if _, ok, at := m.find(a, b); !ok {
+					if c := next(); c%2 == 1 {
+						m.store(a, b, a) // the pair itself, frozen in between
+						remember(a, b, a)
+					} else {
+						m.store(c%64, 128+c, c%64)
+						remember(c%64, 128+c, c%64)
 					}
-				}
-			case 5: // the paused publisher writes its log entry
-				if paused != nil {
-					paused.finish()
-					paused = nil
+					m.fill(at, b)
+					remember(a, b, b)
 				}
 			}
 		}
-		checkVisible(t, im, paused.hides, "end")
-		if paused != nil {
-			paused.finish()
-			checkImage(t, im, "after the last write")
+		checkImage(t, im, "end")
+		if m.Len() != len(first) {
+			t.Fatalf("Len = %d, want %d distinct pairs", m.Len(), len(first))
+		}
+		for k, want := range first {
+			a, b, _ := UnpackEntry(k)
+			if w, ok := m.lookup(a, b); !ok || w != want {
+				t.Fatalf("lookup(%d, %d) = %d, %v; want the first answer %d", a, b, w, ok, want)
+			}
 		}
 	})
 }

@@ -1,10 +1,6 @@
 package tournament
 
-import (
-	"fmt"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestMemoFirstStoreWins(t *testing.T) {
 	m := NewMemo()
@@ -24,26 +20,26 @@ func TestMemoFirstStoreWins(t *testing.T) {
 
 // TestMemoStoreReturnsFrozen checks that store returns the pair's frozen
 // answer — its own on a first store, the earlier one on a losing store —
-// whether the earlier entry sits in the head table or in an older one.
+// before and after a rehash moved the earlier entry.
 func TestMemoStoreReturnsFrozen(t *testing.T) {
 	m := NewMemo()
 	if w := m.store(1, 2, 2); w != 2 {
 		t.Fatalf("first store returned %d, want its own 2", w)
 	}
 	if w := m.store(2, 1, 1); w != 2 {
-		t.Fatalf("losing store in the head table returned %d, want the frozen 2", w)
+		t.Fatalf("losing store returned %d, want the frozen 2", w)
 	}
 	for i := 0; i < 800; i++ { // past the first table's limit
 		m.store(i, i+1000, i+1000)
 	}
-	if chainDepth(m) < 2 {
-		t.Fatal("memo did not chain")
+	if len(m.slots) == memoMinSlots {
+		t.Fatal("memo did not rehash")
 	}
 	if w := m.store(1, 2, 1); w != 2 {
-		t.Fatalf("losing store of an older table's pair returned %d, want the frozen 2", w)
+		t.Fatalf("losing store after a rehash returned %d, want the frozen 2", w)
 	}
 	if w := m.store(5000, 5001, 5000); w != 5000 {
-		t.Fatalf("first store after chaining returned %d, want its own 5000", w)
+		t.Fatalf("first store after a rehash returned %d, want its own 5000", w)
 	}
 }
 
@@ -66,10 +62,8 @@ func TestMemoSelfPair(t *testing.T) {
 	}
 }
 
-// TestMemoGrowth drives the table well past its initial capacity so the
-// append-only growth chain (new tables installed by CAS, old ones retained
-// and scanned newest-first) is exercised, then verifies every entry is still
-// served correctly.
+// TestMemoGrowth drives the table well past its initial capacity, through
+// six rehashes, and verifies every entry is still served with its answer.
 func TestMemoGrowth(t *testing.T) {
 	m := NewMemo()
 	const n = 300 // 300*299/2 = 44850 pairs ≫ the 1024-slot initial table
@@ -85,6 +79,9 @@ func TestMemoGrowth(t *testing.T) {
 	want := n * (n - 1) / 2
 	if m.Len() != want {
 		t.Fatalf("Len = %d, want %d", m.Len(), want)
+	}
+	if len(m.slots) != memoMinSlots<<6 {
+		t.Fatalf("table has %d slots, want %d after six rehashes", len(m.slots), memoMinSlots<<6)
 	}
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -130,18 +127,52 @@ func TestMemoEntriesSortedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewMemoSized checks a memo sized for pairs entries holds that many in
-// its first table: the guarantee a run's naïve memo relies on to stay one
-// table while its paid pairs stay within the size it was given.
+// TestNewMemoSized checks a memo sized for pairs entries holds that many
+// without a rehash: the guarantee a run's naïve memo relies on to allocate
+// its table once while its paid pairs stay within the size it was given.
 func TestNewMemoSized(t *testing.T) {
 	for _, pairs := range []int{5000, 80000} {
 		m := NewMemoSized(pairs)
+		slots := len(m.slots)
 		for i := 0; i < pairs; i++ {
 			m.store(i, i+100000, i)
 		}
-		if m.Len() != pairs || chainDepth(m) != 1 {
-			t.Fatalf("NewMemoSized(%d): Len = %d over %d tables, want %d over 1", pairs, m.Len(), chainDepth(m), pairs)
+		if m.Len() != pairs || len(m.slots) != slots {
+			t.Fatalf("NewMemoSized(%d): Len = %d in %d slots, want %d in the %d it started with", pairs, m.Len(), len(m.slots), pairs, slots)
 		}
+	}
+}
+
+// TestMemoFillAfterChange checks fill, the store half of the oracle's
+// single-probe miss path: it writes into the slot its lookup stopped at when
+// the memo is unchanged, and otherwise probes again — after a rehash moved
+// every slot, and after a store froze the same pair with another answer.
+func TestMemoFillAfterChange(t *testing.T) {
+	m := NewMemo()
+	if _, ok, at := m.find(1, 2); ok {
+		t.Fatal("empty memo reported a hit")
+	} else if w := m.fill(at, 2); w != 2 {
+		t.Fatalf("fill into an unchanged memo returned %d, want 2", w)
+	}
+	_, _, at := m.find(3, 4)
+	for i := 0; i < 1000; i++ { // rehashes the table under the pending fill
+		m.store(i, i+2000, i)
+	}
+	if w := m.fill(at, 3); w != 3 {
+		t.Fatalf("fill after a rehash returned %d, want 3", w)
+	}
+	_, _, at = m.find(5, 6)
+	m.store(6, 5, 6)
+	if w := m.fill(at, 5); w != 6 {
+		t.Fatalf("fill after the pair was frozen returned %d, want the frozen 6", w)
+	}
+	for _, c := range [][3]int{{1, 2, 2}, {3, 4, 3}, {5, 6, 6}, {999, 2999, 999}} {
+		if w, ok := m.lookup(c[0], c[1]); !ok || w != c[2] {
+			t.Fatalf("lookup(%d, %d) = %d, %v; want %d", c[0], c[1], w, ok, c[2])
+		}
+	}
+	if m.Len() != 1003 {
+		t.Fatalf("Len = %d, want 1003", m.Len())
 	}
 }
 
@@ -155,88 +186,5 @@ func TestMemoPanicsOnUnpackableID(t *testing.T) {
 			}()
 			NewMemo().store(bad[0], bad[1], bad[0])
 		}()
-	}
-}
-
-// TestMemoConcurrentFirstStoreWins hammers one table from many goroutines —
-// concurrent stores to overlapping keys with opposing winners, interleaved
-// lookups, enough keys to force growth mid-race — and then verifies global
-// consistency: every key holds one of the two proposed winners, and repeat
-// lookups are stable. Run under -race this also proves the CAS protocol
-// publishes entries safely.
-func TestMemoConcurrentFirstStoreWins(t *testing.T) {
-	m := NewMemo()
-	const (
-		workers = 8
-		keys    = 5000
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < keys; k++ {
-				a, b := k, k+keys
-				winner := a
-				if (w+k)%2 == 0 {
-					winner = b
-				}
-				m.store(a, b, winner)
-				if got, ok := m.lookup(a, b); ok && got != a && got != b {
-					panic(fmt.Sprintf("lookup(%d,%d) returned non-member %d", a, b, got))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if m.Len() != keys {
-		t.Fatalf("Len = %d, want %d", m.Len(), keys)
-	}
-	for k := 0; k < keys; k++ {
-		a, b := k, k+keys
-		w1, ok1 := m.lookup(a, b)
-		w2, ok2 := m.lookup(b, a)
-		if !ok1 || !ok2 || w1 != w2 {
-			t.Fatalf("key (%d,%d): unstable lookups %d,%v vs %d,%v", a, b, w1, ok1, w2, ok2)
-		}
-		if w1 != a && w1 != b {
-			t.Fatalf("key (%d,%d): winner %d is not a member", a, b, w1)
-		}
-	}
-}
-
-// TestLossTrackerShardedConcurrent drives the sharded loss tracker from many
-// goroutines recording overlapping (loser, winner) pairs and checks the
-// distinct-opponent counts, including cross-shard losers.
-func TestLossTrackerShardedConcurrent(t *testing.T) {
-	lt := NewLossTracker()
-	const (
-		workers = 8
-		losers  = 500
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for l := 0; l < losers; l++ {
-				// Every worker records the same three winners per loser:
-				// duplicates across goroutines must still count once each.
-				lt.Record(l, 10_000+l)
-				lt.Record(l, 20_000+l)
-				lt.Record(l, 30_000+w%3) // partial overlap across workers
-			}
-		}(w)
-	}
-	wg.Wait()
-	for l := 0; l < losers; l++ {
-		got := lt.Losses(l)
-		want := 2 + min(workers, 3) // two unique winners + overlapping set {30000..30002}
-		if got != want {
-			t.Fatalf("Losses(%d) = %d, want %d", l, got, want)
-		}
-	}
-	if lt.Losses(999_999) != 0 {
-		t.Fatal("unknown loser has losses")
 	}
 }

@@ -24,27 +24,26 @@
 //
 // # Concurrency
 //
-// Memo, LossTracker, Budget, and Oracle's billing are safe for concurrent
-// use: the memo is a lock-free CAS table on packed uint64 keys, the loss
-// tracker is sharded across independently locked stripes, the budget is
-// mutex-guarded with all-or-nothing spending, and the ledger (cost.Ledger)
-// is atomic. An Oracle may therefore be shared by the goroutines of a
-// parallel batch evaluation provided its underlying worker.Comparator (or
-// dispatch.Backend) is itself safe for concurrent use — see
-// Oracle.ParallelBatch.
+// An Oracle, its Memo and a LossTracker belong to the goroutine of one run
+// and are not safe for concurrent use: every comparison of a run, and every
+// checkpoint snapshot taken inside one, happens on that goroutine, so the
+// memo is a plain open-addressed table and the tracker a plain map. What
+// several goroutines may share is synchronized: a dispatch.Budget (the
+// service keeps one per tenant across its jobs) is mutex-guarded with
+// all-or-nothing spending, and the ledger (cost.Ledger) is atomic.
+// Experiments run trials in parallel (internal/parallel), each with its own
+// oracles and memos.
 package tournament
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"crowdmax/internal/cost"
 	"crowdmax/internal/dispatch"
 	"crowdmax/internal/item"
 	"crowdmax/internal/obs"
-	"crowdmax/internal/parallel"
 	"crowdmax/internal/worker"
 )
 
@@ -64,21 +63,17 @@ const (
 // exceeded, and a refused comparison surfaces dispatch.ErrBudgetExhausted
 // to the algorithm.
 //
-// The oracle's own bookkeeping (ledger, memo, budget) is safe for
-// concurrent use; whether concurrent Compare calls are safe overall depends
-// solely on the underlying comparator or backend. See ParallelBatch for the
-// opt-in that lets CompareBatch exploit this.
+// An Oracle is not safe for concurrent use (see the package doc).
 type Oracle struct {
-	cmp          worker.Comparator
-	backend      dispatch.Backend
-	budget       *dispatch.Budget
-	class        worker.Class
-	ledger       *cost.Ledger
-	memo         *Memo
-	valuer       worker.Valuer
-	vmemo        *ValueMemo
-	batchWorkers int
-	obs          *obs.Scope
+	cmp     worker.Comparator
+	backend dispatch.Backend
+	budget  *dispatch.Budget
+	class   worker.Class
+	ledger  *cost.Ledger
+	memo    *Memo
+	valuer  worker.Valuer
+	vmemo   *ValueMemo
+	obs     *obs.Scope
 }
 
 // NewOracle binds a comparator of the given class to a ledger. memo may be
@@ -133,23 +128,6 @@ func (o *Oracle) WithValueMemo(m *ValueMemo) *Oracle {
 	return o
 }
 
-// ParallelBatch opts the oracle into evaluating the non-memoized remainder
-// of each CompareBatch concurrently on up to workers goroutines (workers ≤ 0
-// selects runtime.GOMAXPROCS(0)); it returns the oracle for chaining.
-//
-// The caller asserts that the underlying comparator is stateless-safe: its
-// Compare must be callable from multiple goroutines and its answers must not
-// depend on call order (e.g. worker.Truth, or a worker.Threshold with
-// Epsilon == 0 and an order-independent tie policy such as worker.HashTie).
-// An order-dependent comparator would make results vary with scheduling,
-// destroying the engine's bit-for-bit determinism guarantee. Comparators
-// that implement BatchComparator (the platform simulator) are never fanned
-// out — they receive the whole batch in one call, as before.
-func (o *Oracle) ParallelBatch(workers int) *Oracle {
-	o.batchWorkers = parallel.Normalize(workers)
-	return o
-}
-
 // WithObs attaches an observability scope: comparison and memo-table
 // counters accrue to the scope's metrics, and the algorithms driving this
 // oracle label their trace events with the scope's trial and phase. A nil
@@ -183,8 +161,10 @@ func (o *Oracle) Memoized() bool { return o.memo != nil }
 // attached, directly to the comparator otherwise. On a backend failure the
 // budget charge is refunded, so failed dispatches never consume spend.
 func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error) {
+	var at memoSlot
 	if o.memo != nil {
-		if w, ok := o.memo.lookup(a.ID, b.ID); ok {
+		w, ok, miss := o.memo.find(a.ID, b.ID)
+		if ok {
 			if o.ledger != nil {
 				o.ledger.MemoHit(o.class)
 			}
@@ -196,6 +176,7 @@ func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error)
 			}
 			return b, nil
 		}
+		at = miss
 	}
 	var winner item.Item
 	if o.backend == nil && o.budget == nil {
@@ -224,8 +205,9 @@ func (o *Oracle) Compare(ctx context.Context, a, b item.Item) (item.Item, error)
 		}
 	}
 	if o.memo != nil {
-		// A concurrent caller may have frozen the other answer first.
-		winner = pick([2]item.Item{a, b}, o.memo.store(a.ID, b.ID, winner.ID))
+		// The dispatch may have frozen the pair already (a backend answering
+		// through this memo); fill then returns the frozen answer.
+		winner = pick([2]item.Item{a, b}, o.memo.fill(at, winner.ID))
 	}
 	return winner, nil
 }
@@ -343,13 +325,12 @@ type ValueEntry struct {
 }
 
 // ValueMemo caches cardinal value answers keyed by (item ID, vote index).
-// First store wins; safe for concurrent use. It is the value-query
-// counterpart of Memo: besides saving money on repeated votes, its entries
-// are what checkpoints freeze so a resumed scoring run replays every
-// pre-crash vote for free with the original answer.
+// First store wins. It is the value-query counterpart of Memo: besides
+// saving money on repeated votes, its entries are what checkpoints freeze so
+// a resumed scoring run replays every pre-crash vote for free with the
+// original answer. Like Memo, it is not safe for concurrent use.
 type ValueMemo struct {
-	mu sync.RWMutex
-	m  map[[2]int]float64
+	m map[[2]int]float64
 }
 
 // NewValueMemo returns an empty value memo.
@@ -359,19 +340,15 @@ func NewValueMemo() *ValueMemo {
 
 // lookup returns the frozen answer for (id, rep), if any.
 func (m *ValueMemo) lookup(id, rep int) (float64, bool) {
-	m.mu.RLock()
 	v, ok := m.m[[2]int{id, rep}]
-	m.mu.RUnlock()
 	return v, ok
 }
 
 // store freezes the first answer for (id, rep); later stores are no-ops.
 func (m *ValueMemo) store(id, rep int, v float64) {
-	m.mu.Lock()
 	if _, ok := m.m[[2]int{id, rep}]; !ok {
 		m.m[[2]int{id, rep}] = v
 	}
-	m.mu.Unlock()
 }
 
 // Prime inserts a frozen answer during checkpoint replay.
@@ -380,12 +357,10 @@ func (m *ValueMemo) Prime(id, rep int, v float64) { m.store(id, rep, v) }
 // Entries returns every frozen answer sorted by (ID, Rep), the deterministic
 // order checkpoints encode.
 func (m *ValueMemo) Entries() []ValueEntry {
-	m.mu.RLock()
 	out := make([]ValueEntry, 0, len(m.m))
 	for k, v := range m.m {
 		out = append(out, ValueEntry{ID: int64(k[0]), Rep: int64(k[1]), Value: v})
 	}
-	m.mu.RUnlock()
 	slices.SortFunc(out, func(a, b ValueEntry) int {
 		if a.ID != b.ID {
 			if a.ID < b.ID {
@@ -552,65 +527,31 @@ func ScorePivot(x item.Item, candidates []item.Item, winners []item.Item) (survi
 	return survivors, eliminated
 }
 
-// lossShards is the number of independently locked stripes of a
-// LossTracker, fixed at a power of two so the stripe index is a mask.
-const lossShards = 64
-
-// lossShard is one stripe: a mutex and the loser → distinct-winner sets it
-// owns.
-type lossShard struct {
-	mu     sync.Mutex
-	losses map[int]map[int]struct{}
-}
-
 // LossTracker implements the second Appendix A optimization: it counts, for
 // every element, losses against *distinct* opponents across all filter
 // iterations. By Lemma 1, an element with more than un(n) distinct-opponent
 // losses cannot be the maximum and can be discarded early.
 //
-// Safe for concurrent use, and — unlike the previous single-mutex design —
-// not a serialization point under the batch scheduler: entries are striped
-// across 64 independently locked shards by loser ID, so goroutines
-// recording losses for different elements almost never share a lock. The
-// counts are set cardinalities, so recording order is irrelevant to the
-// final state.
+// The counts are set cardinalities, so recording order is irrelevant to
+// the final state. Not safe for concurrent use.
 type LossTracker struct {
-	shards [lossShards]lossShard
+	losses map[int]map[int]struct{} // loser → the winners it lost to
 }
 
 // NewLossTracker returns an empty tracker.
 func NewLossTracker() *LossTracker {
-	t := &LossTracker{}
-	for i := range t.shards {
-		t.shards[i].losses = make(map[int]map[int]struct{})
-	}
-	return t
-}
-
-// lossShard returns the stripe owning the loser ID.
-func (t *LossTracker) shard(loser int) *lossShard {
-	h := uint64(loser) * 0x9e3779b97f4a7c15
-	h ^= h >> 29
-	return &t.shards[h&(lossShards-1)]
+	return &LossTracker{losses: make(map[int]map[int]struct{})}
 }
 
 // Record notes that loser lost a comparison to winner.
 func (t *LossTracker) Record(loser, winner int) {
-	s := t.shard(loser)
-	s.mu.Lock()
-	set, ok := s.losses[loser]
+	set, ok := t.losses[loser]
 	if !ok {
 		set = make(map[int]struct{})
-		s.losses[loser] = set
+		t.losses[loser] = set
 	}
 	set[winner] = struct{}{}
-	s.mu.Unlock()
 }
 
 // Losses returns the number of distinct opponents the element has lost to.
-func (t *LossTracker) Losses(id int) int {
-	s := t.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.losses[id])
-}
+func (t *LossTracker) Losses(id int) int { return len(t.losses[id]) }

@@ -283,3 +283,68 @@ func mustCompare(t *testing.T, o *Oracle, a, b item.Item) item.Item {
 	}
 	return w
 }
+
+// racingComparator answers every pair with its better item, but first
+// freezes the opposite answer in the oracle's memo, between the oracle's
+// lookup of the pair and its store.
+type racingComparator struct{ memo *Memo }
+
+func (c racingComparator) Compare(a, b item.Item) item.Item {
+	w, l := a, b
+	if b.Value > a.Value {
+		w, l = b, a
+	}
+	c.memo.Prime(a.ID, b.ID, l.ID)
+	return w
+}
+
+// racingPlatform is racingComparator answering whole platform batches.
+type racingPlatform struct{ racingComparator }
+
+func (c racingPlatform) CompareBatch(pairs [][2]item.Item) []item.Item {
+	out := make([]item.Item, len(pairs))
+	for i, p := range pairs {
+		out[i] = c.Compare(p[0], p[1])
+	}
+	return out
+}
+
+// TestOracleReturnsFrozenAnswer checks that an oracle whose store loses to
+// an answer frozen during the dispatch returns the memo's frozen answer, not
+// its own, on every paid path: Compare, and CompareBatch element-wise and
+// through a platform batch.
+func TestOracleReturnsFrozenAnswer(t *testing.T) {
+	it := items(0.1, 0.9, 0.5, 0.7)
+	pairs := [][2]item.Item{{it[0], it[1]}, {it[2], it[3]}, {it[1], it[2]}}
+	for _, c := range []struct {
+		name string
+		cmp  func(*Memo) worker.Comparator
+	}{
+		{"sequential", func(m *Memo) worker.Comparator { return racingComparator{m} }},
+		{"platform", func(m *Memo) worker.Comparator { return racingPlatform{racingComparator{m}} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			memo := NewMemo()
+			o := NewOracle(c.cmp(memo), worker.Naive, cost.NewLedger(), memo)
+			got, err := o.CompareBatch(context.Background(), pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range pairs {
+				w, _ := memo.lookup(p[0].ID, p[1].ID)
+				if got[i].ID != w {
+					t.Errorf("pair (%d,%d): returned %d, memo froze %d", p[0].ID, p[1].ID, got[i].ID, w)
+				}
+			}
+		})
+	}
+	memo := NewMemo()
+	o := NewOracle(racingComparator{memo}, worker.Naive, nil, memo)
+	got, err := o.Compare(context.Background(), it[0], it[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != it[0].ID {
+		t.Fatalf("Compare returned %d, memo froze %d", got.ID, it[0].ID)
+	}
+}

@@ -134,8 +134,8 @@ func (t *StickyTie) Pick(a, b item.Item) item.Item {
 // answer, different pairs get (statistically) independent answers, and the
 // outcome does not depend on when or from which goroutine the question is
 // asked. It is the order-independent, stateless counterpart of StickyTie,
-// and the tie policy that makes a Threshold worker safe for the oracle's
-// parallel batch evaluation (tournament.Oracle.ParallelBatch).
+// and the tie policy that lets a resumed run replay a Threshold worker's
+// answers bit-identically.
 type HashTie struct {
 	// Seed selects the coin family; two HashTies with the same seed agree
 	// on every pair.
@@ -199,7 +199,8 @@ func (FirstLosesTie) Pick(_, b item.Item) item.Item { return b }
 // Compare touches R only when Epsilon > 0, so a Threshold with Epsilon == 0
 // and a concurrency-safe, order-independent Tie (HashTie, AdversarialTie,
 // FirstLosesTie) is itself safe for concurrent use and order-independent —
-// the prerequisite for tournament.Oracle.ParallelBatch.
+// the prerequisite for bit-identical resume and for sharing one worker
+// across parallel trials.
 type Threshold struct {
 	// Delta is the discernment threshold δ ≥ 0.
 	Delta float64

@@ -21,9 +21,10 @@ func watchNaiveMemo(t *testing.T) **Memo {
 }
 
 // TestRunNaiveMemoOneTable runs max-find at n = 2000, un = 10 — tens of
-// thousands of naïve pairs, which an unsized memo spreads over four chained
-// tables — and checks the run's naïve memo was sized for every pair it paid
-// for, which TestNewMemoSized shows a sized memo keeps in one table.
+// thousands of naïve pairs, which an unsized memo reaches through four
+// rehashes — and checks the run's naïve memo was sized for every pair it
+// paid for, which TestNewMemoSized shows a sized memo holds without a
+// rehash.
 func TestRunNaiveMemoOneTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 2000 run")
@@ -47,7 +48,7 @@ func TestRunNaiveMemoOneTable(t *testing.T) {
 	}
 	got := (*memo).Len()
 	if got < 3*16384/4 {
-		t.Fatalf("naïve memo holds %d pairs; the run should outgrow three default-grown tables", got)
+		t.Fatalf("naïve memo holds %d pairs; an unsized memo would rehash four times to hold them", got)
 	}
 	if sized := naiveMemoPairs(MaxFind(), &s.cfg, n, nil); got > sized {
 		t.Fatalf("naïve memo holds %d pairs, past the %d it was sized for", got, sized)

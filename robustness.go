@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 	"time"
 
 	"crowdmax/internal/chaos"
@@ -39,9 +38,10 @@ type CheckpointConfig struct {
 	// nil uses the real filesystem.
 	FS StorageFS
 	// OnSnapshot, when non-nil, is called after every successfully
-	// written snapshot. It runs on the snapshotting goroutine under the
-	// writer's lock, so it must be fast and must not block — it exists
-	// for progress stamps (the service watchdog), not for work.
+	// written snapshot. It runs on the run's goroutine, inside a paid
+	// comparison or at a phase boundary, so it must be fast and must not
+	// block — it exists for progress stamps (the service watchdog), not
+	// for work.
 	OnSnapshot func()
 }
 
@@ -311,8 +311,10 @@ func (t packedPairs) At(i int) checkpoint.PairAnswer {
 // OnPhase hook snapshots at phase boundaries. A failed snapshot write fails
 // the run fast — the next dispatched comparison returns the write error —
 // because continuing to spend money a crash would strand defeats the point.
+// Every call happens on the run's goroutine: the decorator sits outermost,
+// so it runs in the oracle's dispatch, before any decorator that hands the
+// request to another goroutine (a hedge).
 type ckWriter struct {
-	mu        sync.Mutex
 	path      string
 	every     int64
 	since     int64
@@ -337,23 +339,18 @@ func newCkWriter(cfg CheckpointConfig, src *ckSource) *ckWriter {
 // memo hits (which never reach a backend) do not count.
 func (w *ckWriter) wrap(b Backend) Backend {
 	return dispatch.Func(func(ctx context.Context, req BackendRequest) (BackendAnswer, error) {
-		w.mu.Lock()
-		failed := w.err
-		w.mu.Unlock()
-		if failed != nil {
-			return BackendAnswer{}, failed
+		if w.err != nil {
+			return BackendAnswer{}, w.err
 		}
 		ans, err := b.Answer(ctx, req)
 		if err != nil {
 			return ans, err
 		}
-		w.mu.Lock()
 		w.since++
 		if w.since >= w.every {
 			w.since = 0
-			w.snapshotLocked("interval")
+			w.snapshot("interval")
 		}
-		w.mu.Unlock()
 		return ans, nil
 	})
 }
@@ -365,21 +362,17 @@ func (w *ckWriter) boundary(phase string, survivors []Item) {
 	for i, it := range survivors {
 		ids[i] = int64(it.ID)
 	}
-	w.mu.Lock()
 	w.survivors = ids
 	w.since = 0
-	w.snapshotLocked(phase)
-	w.mu.Unlock()
+	w.snapshot(phase)
 }
 
 // testHookSnapshot, when set, observes every snapshot a writer encodes,
 // just before it is written.
 var testHookSnapshot func(w *ckWriter, label string, data []byte)
 
-// snapshotLocked encodes and atomically writes one snapshot; callers hold
-// w.mu, which also serializes concurrent interval snapshots from parallel
-// batches.
-func (w *ckWriter) snapshotLocked(label string) {
+// snapshot encodes and atomically writes one snapshot.
+func (w *ckWriter) snapshot(label string) {
 	w.buf = w.src.encode(w.buf[:0], label, w.survivors)
 	if testHookSnapshot != nil {
 		testHookSnapshot(w, label, w.buf)
@@ -399,8 +392,4 @@ func (w *ckWriter) snapshotLocked(label string) {
 }
 
 // Err returns the first snapshot-write failure, if any.
-func (w *ckWriter) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *ckWriter) Err() error { return w.err }

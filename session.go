@@ -216,14 +216,14 @@ func (s *Session) Run(ctx context.Context, w Workload, items []Item) (Result, er
 
 // maxPresizedPairs caps the pairs a run's naïve memo is sized for up
 // front. The filter's bound grows with n·un, which a job spec can make huge;
-// a run that outgrows the capped table chains larger ones as its paid
+// a run that outgrows the capped table rehashes into larger ones as its paid
 // comparisons arrive, so memory follows the work done, not the bound.
 const maxPresizedPairs = 1 << 20
 
 // newRunMemos builds one run's comparison memos. The naïve memo is sized
-// once by naiveMemoPairs, so a run within its bound keeps one table. The
+// once by naiveMemoPairs, so a run within its bound never rehashes it. The
 // expert memo keeps the default capacity: phase 2's expert comparisons
-// (about 165 pairs at un = 10) fit its first table.
+// (about 165 pairs at un = 10) fit the default table.
 func newRunMemos(w Workload, cfg *Config, nItems int, resume *checkpoint.State) (naive, expert *Memo) {
 	return tournament.NewMemoSized(naiveMemoPairs(w, cfg, nItems, resume)), NewMemo()
 }

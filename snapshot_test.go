@@ -256,66 +256,6 @@ func TestSnapshotScheduleIndependentGolden(t *testing.T) {
 	}
 }
 
-// TestCheckpointSnapshotConcurrentStores takes interval snapshots from the
-// goroutines of parallel batches while the others keep storing into the
-// memo. Every snapshot must decode with strictly ascending tables, and the
-// final one must hold exactly the memo's entries.
-func TestCheckpointSnapshotConcurrentStores(t *testing.T) {
-	items := make([]Item, 80)
-	for i := range items {
-		items[i] = Item{ID: i, Value: float64(i*37%80) / 80}
-	}
-	memo := NewMemo()
-	led := NewLedger()
-	s := statelessSession(t, dataset.Calibrated{DeltaN: 0.01, DeltaE: 0.001, Un: 2}, 5, nil)
-	fsys := newRecordingFS()
-	w := newCkWriter(CheckpointConfig{Path: "/ck/run.ck", Every: 16, FS: fsys},
-		s.checkpointSource(MaxFindKind, items, 5, led, nil, memo, NewMemo(), nil, &snapHooks{}))
-	o := NewOracle(s.cfg.Naive, Naive, led, memo).
-		WithBackend(w.wrap(NewSimulatedBackend(s.cfg.Naive))).ParallelBatch(4)
-	var pairs [][2]Item
-	for i := range items {
-		for j := i + 1; j < len(items); j++ {
-			pairs = append(pairs, [2]Item{items[i], items[j]})
-		}
-	}
-	for lo := 0; lo < len(pairs); lo += 500 {
-		if _, err := o.CompareBatch(context.Background(), pairs[lo:min(lo+500, len(pairs))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.boundary("done", nil)
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	snaps := fsys.written()
-	if len(snaps) < 100 {
-		t.Fatalf("only %d snapshots written", len(snaps))
-	}
-	var last *checkpoint.State
-	for i, data := range snaps {
-		st, err := checkpoint.Decode(data)
-		if err != nil {
-			t.Fatalf("snapshot %d: %v", i, err)
-		}
-		for j := 1; j < len(st.NaiveMemo); j++ {
-			p, q := st.NaiveMemo[j-1], st.NaiveMemo[j]
-			if p.A > q.A || (p.A == q.A && p.B >= q.B) {
-				t.Fatalf("snapshot %d: naïve table not strictly ascending at %d", i, j)
-			}
-		}
-		last = st
-	}
-	if got, want := len(last.NaiveMemo), len(pairs); got != want {
-		t.Fatalf("final snapshot holds %d pairs, want %d", got, want)
-	}
-	for i, e := range memo.Entries() {
-		if p := last.NaiveMemo[i]; p != (checkpoint.PairAnswer{A: int64(e[0]), B: int64(e[1]), Winner: int64(e[2])}) {
-			t.Fatalf("final snapshot entry %d = %+v, memo has %v", i, p, e)
-		}
-	}
-}
-
 // recordingFS is an in-memory faults.FS that keeps, in order, the bytes of
 // every file published by rename.
 type recordingFS struct {
@@ -479,10 +419,8 @@ func (r *SnapshotReplay) Run(tb testing.TB) {
 		for _, p := range st.expert {
 			em.Prime(int(p.A), int(p.B), int(p.Winner))
 		}
-		w.mu.Lock()
 		w.survivors = st.survivors
-		w.snapshotLocked(st.label)
-		w.mu.Unlock()
+		w.snapshot(st.label)
 	}
 	if err := w.Err(); err != nil {
 		tb.Fatal(err)

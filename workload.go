@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"crowdmax/internal/checkpoint"
 	"crowdmax/internal/core"
@@ -73,32 +72,20 @@ type runEnv struct {
 // snapHooks is the mutable registration point between a workload and the
 // checkpoint snapshot builder: the currently-supervising degrade controller
 // (whose rung and decision hash ride in the snapshot) and the workload's
-// opaque state-blob builder. Registered by prepare/run, read at every
-// snapshot under the hook lock.
+// opaque state-blob builder. Registered by prepare/run and read at every
+// snapshot, all on the run's goroutine.
 type snapHooks struct {
-	mu   sync.Mutex
 	ctl  *degrade.Controller
 	blob func() []byte
 }
 
-func (h *snapHooks) setController(ctl *degrade.Controller) {
-	h.mu.Lock()
-	h.ctl = ctl
-	h.mu.Unlock()
-}
+func (h *snapHooks) setController(ctl *degrade.Controller) { h.ctl = ctl }
 
-func (h *snapHooks) setBlob(f func() []byte) {
-	h.mu.Lock()
-	h.blob = f
-	h.mu.Unlock()
-}
+func (h *snapHooks) setBlob(f func() []byte) { h.blob = f }
 
 // snapshot returns the registered controller and the workload blob rendered
-// now. The blob builder is invoked under the hook lock; builders take only
-// their own state locks.
+// now.
 func (h *snapHooks) snapshot() (*degrade.Controller, []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var blob []byte
 	if h.blob != nil {
 		blob = h.blob()
@@ -210,32 +197,17 @@ func (w *topKWorkload) validate(cfg *Config, nItems int) error {
 }
 
 // naivePairs sizes the shared memo for the first rank's filter; later ranks
-// mostly replay its answers, and the memo chains a table for the rest.
+// mostly replay its answers, and the memo rehashes for the rest.
 func (w *topKWorkload) naivePairs(cfg *Config, nItems int) int { return filterPairs(cfg.Un, nItems) }
 
 // topkState is the workload's checkpointable progress: the completed ranks.
 type topkState struct {
-	mu    sync.Mutex
 	k     int
 	ranks []RankedResult
 }
 
-func (st *topkState) append(r RankedResult) {
-	st.mu.Lock()
-	st.ranks = append(st.ranks, r)
-	st.mu.Unlock()
-}
-
-func (st *topkState) snapshotRanks() []RankedResult {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return append([]RankedResult(nil), st.ranks...)
-}
-
 // encode renders the rank log as the checkpoint workload blob.
 func (st *topkState) encode() []byte {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	var b checkpoint.Builder
 	b.U64(1) // blob revision
 	b.I64(int64(st.k))
@@ -309,7 +281,7 @@ func (w *topKWorkload) prepare(env *runEnv) error {
 func (w *topKWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 	s := env.s
 	st := env.wl.(*topkState)
-	ranked := st.snapshotRanks()
+	ranked := append([]RankedResult(nil), st.ranks...)
 	done := make(map[int]bool, len(ranked))
 	for _, r := range ranked {
 		done[r.Item.ID] = true
@@ -325,7 +297,7 @@ func (w *topKWorkload) run(ctx context.Context, env *runEnv) (Result, error) {
 	var runErr error
 	record := func(r RankedResult) {
 		ranked = append(ranked, r)
-		st.append(r)
+		st.ranks = append(st.ranks, r)
 		kept := remaining[:0]
 		for _, it := range remaining {
 			if it.ID != r.Item.ID {
